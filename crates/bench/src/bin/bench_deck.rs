@@ -17,9 +17,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 use hcs_core::scenario::Scale;
-use hcs_experiments::{
-    figures, run_chaos_campaign, run_deck_with_metrics, run_deck_with_provenance,
-};
+use hcs_experiments::{figures, run_chaos_campaign, run_deck, Meter};
 
 #[derive(Serialize)]
 struct PointRecord {
@@ -107,7 +105,7 @@ fn main() {
     let mut decks = Vec::new();
     for deck in figures::all_decks(scale) {
         let start = Instant::now();
-        let result = run_deck_with_metrics(&deck);
+        let result = run_deck(&deck, None, Meter::Metrics);
         let wall = start.elapsed().as_secs_f64();
         let mut epochs = 0;
         for p in &result.points {
@@ -167,7 +165,7 @@ fn main() {
         deck
     };
     let start = Instant::now();
-    let crossproto = run_deck_with_metrics(&crossproto_deck);
+    let crossproto = run_deck(&crossproto_deck, None, Meter::Metrics);
     let crossproto_wall = start.elapsed().as_secs_f64();
     let mut crossproto_epochs = 0;
     for p in &crossproto.points {
@@ -274,7 +272,7 @@ fn main() {
         deck
     };
     let start = Instant::now();
-    let open_result = run_deck_with_metrics(&open_deck);
+    let open_result = run_deck(&open_deck, None, Meter::Metrics);
     let open_wall = start.elapsed().as_secs_f64();
     let open_ops: u64 = open_result
         .points
@@ -296,7 +294,7 @@ fn main() {
     // the plain metered run is the tracked observer overhead
     // (provenance_overhead = observed wall / plain wall).
     let start = Instant::now();
-    let prov_result = run_deck_with_provenance(&open_deck);
+    let prov_result = run_deck(&open_deck, None, Meter::Provenance);
     let prov_wall = start.elapsed().as_secs_f64();
     assert!(
         prov_result

@@ -18,8 +18,8 @@ use hcs_core::scenario::Scale;
 use hcs_core::telemetry::Recorder;
 use hcs_core::{Deck, StorageSystem};
 use hcs_dlio::{cosmoflow, resnet50, run_dlio, run_dlio_traced};
-use hcs_experiments::registry;
-use hcs_ior::{run_ior, run_ior_traced, IorConfig, WorkloadClass};
+use hcs_experiments::{registry, Meter};
+use hcs_ior::{run_ior_with, IorConfig, IorRun, WorkloadClass};
 use hcs_mdtest::{run_mdtest, MdtestConfig, MetaOp};
 use hcs_replay::{replay, ReplayConfig};
 
@@ -338,10 +338,13 @@ fn main() {
                 Scale::Paper => IorConfig::paper_scalability(w, nodes, ppn),
             };
             let mut recorder = Recorder::new();
-            let rep = match &trace {
-                Some(_) => run_ior_traced(sys.as_ref(), &cfg, &mut recorder),
-                None => run_ior(sys.as_ref(), &cfg),
+            let run = IorRun {
+                recorder: trace.is_some().then_some(&mut recorder),
+                ..IorRun::default()
             };
+            let rep = run_ior_with(sys.as_ref(), &cfg, run)
+                .unwrap_or_else(|e| die(&format!("ior: {e}")))
+                .report;
             println!(
                 "{} — {} @ {} nodes x {} ppn:\n  {:.2} GB/s aggregate ({:.2} GB/s per node, ±{:.2} over {} reps)",
                 rep.system,
@@ -488,18 +491,15 @@ fn main() {
                 scale.label()
             );
             let mut recorder = Recorder::new();
-            let result = match (&trace, metrics, provenance) {
-                (Some(_), _, true) => {
-                    hcs_experiments::run_deck_traced_with_provenance(&deck, &mut recorder)
-                }
-                (Some(_), true, false) => {
-                    hcs_experiments::run_deck_traced_with_metrics(&deck, &mut recorder)
-                }
-                (Some(_), false, false) => hcs_experiments::run_deck_traced(&deck, &mut recorder),
-                (None, _, true) => hcs_experiments::run_deck_with_provenance(&deck),
-                (None, true, false) => hcs_experiments::run_deck_with_metrics(&deck),
-                (None, false, false) => hcs_experiments::run_deck(&deck),
+            let meter = if provenance {
+                Meter::Provenance
+            } else if metrics {
+                Meter::Metrics
+            } else {
+                Meter::Off
             };
+            let result =
+                hcs_experiments::run_deck(&deck, trace.is_some().then_some(&mut recorder), meter);
             for p in &result.points {
                 println!(
                     "  {:<28} {:<8} {:>4} x {:<3} {}",

@@ -47,15 +47,21 @@ fn fault_deck(faults: &str) -> String {
     )
 }
 
-/// Asserts the invocation died cleanly: exit code 2, the diagnostic on
-/// stderr, and no panic backtrace anywhere.
+/// Asserts the invocation died cleanly: exit code 2, the diagnostic as
+/// stderr's first line (the usage text follows it) with no run of
+/// spaces, and no panic backtrace anywhere.
 fn assert_dies_with(out: &Output, needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
     assert!(
-        stderr.contains(needle),
-        "stderr missing '{needle}': {stderr}"
+        first.contains(needle),
+        "first stderr line missing '{needle}': {stderr}"
+    );
+    assert!(
+        !first.contains("  "),
+        "diagnostic has a run of spaces: {first}"
     );
     for s in [&stderr, &stdout] {
         assert!(!s.contains("panicked"), "panic leaked to output: {s}");

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::phase::PhaseSpec;
-use crate::runner::{run_phase, run_phase_traced_labeled};
+use crate::runner::{run_closed, Observe};
 use crate::system::StorageSystem;
 use crate::telemetry::Recorder;
 
@@ -114,12 +114,13 @@ impl JobScript {
                     per_step.push(("compute".to_string(), *seconds));
                 }
                 JobStep::Io { label, phase } => {
-                    let out = match recorder.as_deref_mut() {
-                        Some(rec) => {
-                            run_phase_traced_labeled(label, system, nodes, ppn, phase, rec)
-                        }
-                        None => run_phase(system, nodes, ppn, phase),
+                    let observe = Observe {
+                        trace: recorder.as_deref_mut().map(|rec| (rec, label.as_str())),
+                        provenance: false,
                     };
+                    let out = run_closed(system, nodes, ppn, phase, &[], observe)
+                        .unwrap_or_else(|e| panic!("{e}"))
+                        .outcome;
                     io += out.duration;
                     per_step.push((label.clone(), out.duration));
                 }

@@ -7,12 +7,11 @@
 //! deterministically generates a *population* of fault timelines per
 //! deck point — bounded by a [`FaultBudget`] and drawn only against
 //! stage kinds that exist in the point's deployment plan — runs each
-//! through the forced fault path
-//! ([`run_phase_chaos`](crate::runner::run_phase_chaos)), and checks
-//! metamorphic invariants against the point's fault-free twin:
+//! through [`run_phase_chaos`](crate::runner::run_phase_chaos), and
+//! checks metamorphic invariants against the point's fault-free twin:
 //!
-//! 1. **Empty-timeline identity** — a run with no faults, driven
-//!    through the fault engine, is bit-identical to the twin.
+//! 1. **Empty-timeline identity** — a run with no faults is
+//!    bit-identical to the twin.
 //! 2. **Subset monotonicity** — adding a capacity-loss fault never
 //!    speeds a run up: the full timeline's duration is bounded below by
 //!    its prefix's and by the twin's (jitter timelines are exempt,
@@ -473,8 +472,7 @@ pub fn generate_timeline(
 /// The metamorphic invariants a chaos run is checked against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosInvariant {
-    /// An empty timeline, driven through the fault engine, reproduces
-    /// the fault-free twin bit for bit.
+    /// An empty timeline reproduces the fault-free twin bit for bit.
     EmptyTimelineIdentity,
     /// Adding a capacity-loss fault never speeds a run up: the full
     /// timeline's duration dominates its prefix's and the twin's.

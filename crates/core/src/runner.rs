@@ -73,77 +73,16 @@ impl fmt::Display for FaultPhaseError {
 
 impl std::error::Error for FaultPhaseError {}
 
-/// Resolves [`FaultSpec`]s against a provisioned network into concrete
-/// timed capacity events.
+/// Resolves [`FaultSpec`]s against a provisioned (possibly
+/// class-aggregated) network into concrete timed capacity events.
 ///
 /// Every resource whose stage kind (and, when given, stage name)
 /// matches is faulted: sharded and per-node stages fan out to all their
 /// member resources. Jitter slices draw from a per-resource substream
 /// of the spec's own seed, independent of the workload noise stream.
-pub fn resolve_faults(
-    faults: &[FaultSpec],
-    net: &FlowNet,
-    stage_kinds: &[(ResourceId, StageKind)],
-) -> Result<FaultTimeline, FaultPhaseError> {
-    let mut events = Vec::new();
-    for spec in faults {
-        spec.check().map_err(FaultPhaseError::InvalidSpec)?;
-        let targets: Vec<ResourceId> = stage_kinds
-            .iter()
-            .filter(|(id, kind)| {
-                *kind == spec.stage
-                    && spec
-                        .name
-                        .as_deref()
-                        .map(|n| resource_of_stage(n, net.resource_name(*id)))
-                        .unwrap_or(true)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        if targets.is_empty() {
-            return Err(FaultPhaseError::UnmatchedStage {
-                stage: spec.stage,
-                name: spec.name.clone(),
-            });
-        }
-        for id in targets {
-            match &spec.fault {
-                FaultKind::Outage => {
-                    events.push(CapacityEvent::new(spec.start, id, 0.0));
-                    events.push(CapacityEvent::new(spec.end, id, 1.0));
-                }
-                FaultKind::Degrade { factor } => {
-                    events.push(CapacityEvent::new(spec.start, id, *factor));
-                    events.push(CapacityEvent::new(spec.end, id, 1.0));
-                }
-                FaultKind::Jitter {
-                    seed,
-                    amplitude,
-                    steps,
-                } => {
-                    let mut rng = SimRng::new(*seed).split(net.resource_name(id));
-                    let dt = (spec.end - spec.start) / *steps as f64;
-                    for i in 0..*steps {
-                        events.push(CapacityEvent::new(
-                            spec.start + i as f64 * dt,
-                            id,
-                            rng.jitter_factor(*amplitude),
-                        ));
-                    }
-                    events.push(CapacityEvent::new(spec.end, id, 1.0));
-                }
-            }
-        }
-    }
-    Ok(FaultTimeline::new(events))
-}
-
-/// [`resolve_faults`] against a possibly class-aggregated plan.
 ///
-/// Plain resources are matched by stage kind and name exactly as in
-/// [`resolve_faults`] (an expanded plan degenerates to that function
-/// verbatim). An aggregate resource matches by its *members*: the
-/// spec's name filter is evaluated against the expanded member names
+/// An aggregate resource matches by its *members*: the spec's name
+/// filter is evaluated against the expanded member names
 /// (`"{stage}{node}"`), and because the planner split classes on every
 /// fault-name filter, a filter covers either every member or none — a
 /// partial hit is a planner bug and panics. A matched aggregate
@@ -155,9 +94,6 @@ pub fn resolve_faults_planned(
     net: &FlowNet,
     prov: &crate::system::Provisioned,
 ) -> Result<FaultTimeline, FaultPhaseError> {
-    if prov.aggregates.is_empty() {
-        return resolve_faults(faults, net, &prov.stage_kinds);
-    }
     let aggregate_of: std::collections::HashMap<usize, &crate::system::AggregateStage> =
         prov.aggregates.iter().map(|a| (a.id.index(), a)).collect();
     let mut events = Vec::new();
@@ -228,25 +164,8 @@ pub fn resolve_faults_planned(
     Ok(FaultTimeline::new(events))
 }
 
-/// Runs one phase at the given scale, noise-free.
-///
-/// # Panics
-/// Panics if the phase is invalid, the system provisions a path for the
-/// wrong number of nodes, or flows stall on a zero-capacity resource.
-pub fn run_phase(
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-) -> PhaseOutcome {
-    match run_phase_impl(system, nodes, ppn, phase, None, &[], false) {
-        Ok((outcome, _, _)) => outcome,
-        Err(e) => unreachable!("fault-free run cannot fail fault resolution: {e}"),
-    }
-}
-
-/// Engine-state evidence captured by [`run_phase_chaos`] for the chaos
-/// campaign's metamorphic invariants (see [`crate::chaos`]).
+/// Engine-state evidence captured by every phase run, inspected by the
+/// chaos campaign's metamorphic invariants (see [`crate::chaos`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosEvidence {
     /// Per-resource capacities at drive-loop entry — the provisioned
@@ -261,8 +180,8 @@ pub struct ChaosEvidence {
     pub resolved_events: usize,
 }
 
-/// A completed run through the chaos executor: outcome, the engine's
-/// fault report, and the capacity evidence invariants inspect.
+/// A completed closed-loop phase run: outcome, the engine's drive
+/// report, and the capacity evidence invariants inspect.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosPhaseRun {
     /// The phase outcome (same shape as [`run_phase`]'s).
@@ -273,82 +192,37 @@ pub struct ChaosPhaseRun {
     pub evidence: ChaosEvidence,
 }
 
-/// Runs one phase through the fault-injection drive loop even when the
-/// schedule is empty — the chaos-campaign executor's entry point.
+/// Observers attached to one phase run. Each is a pure listener: every
+/// simulated value is bit-identical whichever are attached.
+#[derive(Default)]
+pub(crate) struct Observe<'a> {
+    /// Flow and resource telemetry into a recorder, under a phase label.
+    pub trace: Option<(&'a mut Recorder, &'a str)>,
+    /// The per-operation latency-blame probe (open-loop runs).
+    pub provenance: bool,
+}
+
+/// Runs one phase at the given scale, noise-free.
 ///
-/// The forced path is what makes the empty-timeline metamorphic
-/// invariant meaningful: an empty schedule must reproduce
-/// [`run_phase`]'s result bit for bit *through the fault engine*, not
-/// by skipping it. Provisioning is identical to [`run_phase`]'s for
-/// the same specs, so faulted and fault-free twins share one plan.
-pub fn run_phase_chaos(
+/// # Panics
+/// Panics if the phase is invalid, the system provisions a path for the
+/// wrong number of nodes, or flows stall on a zero-capacity resource.
+pub fn run_phase(
     system: &dyn StorageSystem,
     nodes: u32,
     ppn: u32,
     phase: &PhaseSpec,
-    faults: &[FaultSpec],
-) -> Result<ChaosPhaseRun, FaultPhaseError> {
-    let (outcome, report, evidence) =
-        run_phase_impl(system, nodes, ppn, phase, None, faults, true)?;
-    Ok(ChaosPhaseRun {
-        outcome,
-        report: report.expect("chaos run always drives the fault loop"),
-        evidence: evidence.expect("chaos run captures capacity evidence"),
-    })
-}
-
-/// Runs one phase under a fault schedule: the specs are resolved
-/// against the provisioned network (see [`resolve_faults`]) and the
-/// resulting capacity events are interleaved with the drive loop. A
-/// full-outage window stalls flows without panicking — they resume at
-/// the scheduled recovery. Returns the outcome plus the engine's
-/// [`FaultRunReport`] (stall seconds, events applied, last event time).
-pub fn run_phase_with_faults(
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-    faults: &[FaultSpec],
-) -> Result<(PhaseOutcome, FaultRunReport), FaultPhaseError> {
-    assert!(
-        !faults.is_empty(),
-        "empty fault schedule: use run_phase for fault-free runs"
-    );
-    run_phase_impl(system, nodes, ppn, phase, None, faults, false)
-        .map(|(o, r, _)| (o, r.expect("faulted run carries a report")))
-}
-
-/// [`run_phase_with_faults`] with telemetry: capacity-change events and
-/// the stall window land in `recorder`'s utilization timelines and
-/// Chrome trace.
-pub fn run_phase_with_faults_traced(
-    label: &str,
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-    faults: &[FaultSpec],
-    recorder: &mut Recorder,
-) -> Result<(PhaseOutcome, FaultRunReport), FaultPhaseError> {
-    assert!(
-        !faults.is_empty(),
-        "empty fault schedule: use run_phase_traced for fault-free runs"
-    );
-    run_phase_impl(
-        system,
-        nodes,
-        ppn,
-        phase,
-        Some((recorder, label)),
-        faults,
-        false,
-    )
-    .map(|(o, r, _)| (o, r.expect("faulted run carries a report")))
+) -> PhaseOutcome {
+    run_closed(system, nodes, ppn, phase, &[], Observe::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .outcome
 }
 
 /// Runs one phase while feeding flow/resource telemetry into
-/// `recorder` (see [`crate::telemetry`]). The outcome is bit-identical
-/// to [`run_phase`]'s — the recorder is a pure listener.
+/// `recorder` (see [`crate::telemetry`]), labeled
+/// `"{system} {op:?} {nodes}x{ppn}"`. The outcome is bit-identical to
+/// [`run_phase`]'s — the recorder is a pure listener. Kept for the
+/// host-time benchmark; [`run_phase_repeated`] is the traced entry.
 pub fn run_phase_traced(
     system: &dyn StorageSystem,
     nodes: u32,
@@ -357,54 +231,88 @@ pub fn run_phase_traced(
     recorder: &mut Recorder,
 ) -> PhaseOutcome {
     let label = format!("{} {:?} {}x{}", system.name(), phase.op, nodes, ppn);
-    run_phase_traced_labeled(&label, system, nodes, ppn, phase, recorder)
+    let observe = Observe {
+        trace: Some((recorder, &label)),
+        provenance: false,
+    };
+    run_closed(system, nodes, ppn, phase, &[], observe)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .outcome
 }
 
-/// [`run_phase_traced`] with a caller-chosen phase label (job step
-/// names, sweep cell ids...).
-pub fn run_phase_traced_labeled(
-    label: &str,
+/// Runs one phase under a fault schedule, returning the outcome, the
+/// engine's [`FaultRunReport`] and the [`ChaosEvidence`] the chaos
+/// campaign's invariants inspect. An empty schedule reproduces
+/// [`run_phase`]'s result bit for bit, because both go through the
+/// same drive loop; provisioning is identical to [`run_phase`]'s for
+/// the same specs, so faulted and fault-free twins share one plan.
+pub fn run_phase_chaos(
     system: &dyn StorageSystem,
     nodes: u32,
     ppn: u32,
     phase: &PhaseSpec,
-    recorder: &mut Recorder,
-) -> PhaseOutcome {
-    match run_phase_impl(
-        system,
-        nodes,
-        ppn,
-        phase,
-        Some((recorder, label)),
-        &[],
-        false,
-    ) {
-        Ok((outcome, _, _)) => outcome,
-        Err(e) => unreachable!("fault-free run cannot fail fault resolution: {e}"),
-    }
-}
-
-/// The shared phase executor. `chaos` forces the fault drive loop (and
-/// capacity-evidence capture) even for an empty schedule; with `chaos`
-/// false and no faults the pre-fault-injection loop runs untouched.
-fn run_phase_impl(
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-    telemetry: Option<(&mut Recorder, &str)>,
     faults: &[FaultSpec],
-    chaos: bool,
-) -> Result<(PhaseOutcome, Option<FaultRunReport>, Option<ChaosEvidence>), FaultPhaseError> {
+) -> Result<ChaosPhaseRun, FaultPhaseError> {
+    run_closed(system, nodes, ppn, phase, faults, Observe::default())
+}
+
+/// The closed-loop face of [`execute`]: every rank's stream is present
+/// at entry.
+pub(crate) fn run_closed(
+    system: &dyn StorageSystem,
+    nodes: u32,
+    ppn: u32,
+    phase: &PhaseSpec,
+    faults: &[FaultSpec],
+    observe: Observe<'_>,
+) -> Result<ChaosPhaseRun, FaultPhaseError> {
+    let (measured, report, evidence) =
+        execute(system, nodes, ppn, phase, &Arrival::Closed, faults, observe)?;
+    let Measured::Closed(outcome) = measured else {
+        unreachable!("a closed arrival measures a closed-loop outcome")
+    };
+    Ok(ChaosPhaseRun {
+        outcome,
+        report,
+        evidence,
+    })
+}
+
+/// What one phase run measured, by arrival discipline.
+enum Measured {
+    Closed(PhaseOutcome),
+    Open(OpenLoopOutcome),
+}
+
+/// The phase executor: provisions the system, places the phase's work
+/// (every rank's stream at entry, or a seeded arrival schedule per
+/// client unit), resolves the fault schedule against the planned graph
+/// and drives the network once.
+fn execute(
+    system: &dyn StorageSystem,
+    nodes: u32,
+    ppn: u32,
+    phase: &PhaseSpec,
+    arrival: &Arrival,
+    faults: &[FaultSpec],
+    observe: Observe<'_>,
+) -> Result<(Measured, FaultRunReport, ChaosEvidence), FaultPhaseError> {
     phase.validate();
     assert!(nodes >= 1, "need at least one node");
     assert!(ppn >= 1, "need at least one rank per node");
 
     let mut net = FlowNet::new();
-    // Attached before provisioning so the probe sees every resource
-    // registration; it is a pure listener, so the provisioned network
-    // and everything downstream are bit-identical either way.
-    let probe = telemetry.is_some().then(|| FlowLogHandle::attach(&mut net));
+    // Attached before provisioning so the flow log sees every resource
+    // registration; the provenance probe stacks beside it. Both are
+    // pure listeners, so the provisioned network and everything
+    // downstream are bit-identical either way.
+    let probe = observe
+        .trace
+        .is_some()
+        .then(|| FlowLogHandle::attach(&mut net));
+    let blame_probe = observe
+        .provenance
+        .then(|| ProvenanceHandle::attach(&mut net));
     let prov = system.provision_classed(&mut net, nodes, ppn, phase, &PlanOptions::auto(faults));
     assert_eq!(
         prov.client_nodes(),
@@ -432,51 +340,192 @@ fn run_phase_impl(
             base
         }
     };
-    // Metadata cost: charged once per file per rank (N-N: one file each).
-    let meta_cost = if phase.file_per_proc {
-        prov.metadata_latency
+    // One client unit per node in an expanded plan, per node
+    // equivalence class in an aggregated one: `(path, members)`. A
+    // unit's flows carry its index as tag, its member count as
+    // `represents` (so flows-started stays per-node-equivalent), and
+    // the per-member stream cap.
+    let units: Vec<(&[ResourceId], u32)> = if prov.classes.is_empty() {
+        prov.node_paths.iter().map(|p| (p.as_slice(), 1)).collect()
     } else {
-        // Shared file: opens amortize across the job; charge one rank.
-        prov.metadata_latency / (nodes as f64 * ppn as f64)
+        prov.classes
+            .iter()
+            .map(|c| (c.path.as_slice(), c.members.len() as u32))
+            .collect()
+    };
+    let unit_flow = |unit: usize, bytes: f64| {
+        let (path, members) = units[unit];
+        let spec = FlowSpec::new(path.to_vec(), bytes)
+            .with_represents(members)
+            .with_tag(unit as u64);
+        if stream_cap.is_finite() && stream_cap > 0.0 {
+            spec.with_rate_cap(stream_cap)
+        } else {
+            spec
+        }
     };
 
-    if prov.classes.is_empty() {
-        for (i, path) in prov.node_paths.iter().enumerate() {
-            let mut spec = FlowSpec::new(path.clone(), phase.bytes_per_rank)
-                .with_multiplicity(ppn)
-                .with_tag(i as u64);
-            if stream_cap.is_finite() && stream_cap > 0.0 {
-                spec = spec.with_rate_cap(stream_cap);
+    // A closed-loop run keeps its steady-state snapshot (utilization
+    // and binding resource with every rank active); an open-loop run
+    // has none and queues its arrivals instead.
+    let mut arrivals: Vec<(f64, FlowSpec)> = Vec::new();
+    let mut ops_offered = 0u64;
+    let closed_loop = match *arrival {
+        Arrival::Closed => {
+            for (unit, &(_, members)) in units.iter().enumerate() {
+                net.add_flow(
+                    unit_flow(unit, phase.bytes_per_rank).with_multiplicity(members * ppn),
+                );
             }
-            net.add_flow(spec);
+            Some(steady_state_bottleneck(&mut net, &prov))
         }
-    } else {
-        // One weighted flow per equivalence class: multiplicity covers
-        // every rank the class stands for, `represents` keeps the
-        // flows-started tally per-node-equivalent, and the tag is the
-        // class index (completion fans out to the members below). The
-        // per-member rate cap is unchanged — `rate_cap` is a per-member
-        // ceiling in the engine.
-        for (i, class) in prov.classes.iter().enumerate() {
-            let mut spec = FlowSpec::new(class.path.clone(), phase.bytes_per_rank)
-                .with_multiplicity(class.members.len() as u32 * ppn)
-                .with_represents(class.members.len() as u32)
-                .with_tag(i as u64);
-            if stream_cap.is_finite() && stream_cap > 0.0 {
-                spec = spec.with_rate_cap(stream_cap);
+        Arrival::Open {
+            rate,
+            discipline,
+            duration,
+            seed,
+        } => {
+            // Each unit offers the per-node rate; a class arrival
+            // carries the class multiplicity and records `members`
+            // observations per completion, so aggregated and expanded
+            // decks describe the same offered load.
+            let op_code = match phase.op {
+                hcs_devices::IoOp::Write => 0,
+                hcs_devices::IoOp::Read => 1,
+            };
+            let size_code = phase.transfer_size.max(1.0).log2().round() as u32;
+            let arrival_rng = SimRng::new(seed);
+            for (unit, &(_, members)) in units.iter().enumerate() {
+                let mut rng = arrival_rng.split_idx("open-arrivals", unit as u64);
+                let times = hcs_simkit::arrival_times(
+                    discipline.as_simkit(),
+                    rate / nodes as f64,
+                    duration,
+                    &mut rng,
+                );
+                ops_offered += members as u64 * times.len() as u64;
+                for t in times {
+                    let spec = unit_flow(unit, phase.transfer_size)
+                        .with_multiplicity(members)
+                        .with_op(op_code, size_code);
+                    arrivals.push((t, spec));
+                }
             }
-            net.add_flow(spec);
+            assert!(
+                ops_offered > 0,
+                "open-loop window injected no operations (rate {rate} ops/s x {duration} s \
+                 across {nodes} nodes); increase the rate or the duration"
+            );
+            None
         }
-    }
+    };
 
-    // Steady-state snapshot with every rank active: which resource
-    // binds? (Rate caps are per-flow constraints, not resources; if no
-    // resource saturates, the streams themselves are the limit.)
-    // Ties on the utilization ratio break toward the earliest resource
-    // in provisioning order — client side first — so attribution is a
-    // function of the deployment graph, not of iterator internals.
+    let timeline = resolve_faults_planned(faults, &net, &prov)?;
+    let entry_capacities = net.capacity_snapshot();
+    let mut unit_end = vec![0.0_f64; units.len()];
+    let mut histogram = LatencyHistogram::new();
+    let mut ops_completed = 0u64;
+    let mut bytes = 0.0;
+    let report = net
+        .drive(arrivals, &timeline, |_, c| {
+            let unit = c.tag as usize;
+            if closed_loop.is_some() {
+                unit_end[unit] = c.at;
+            } else {
+                let weight = units[unit].1 as u64;
+                histogram.record_n(c.latency, weight);
+                ops_completed += weight;
+                bytes += weight as f64 * phase.transfer_size;
+            }
+        })
+        .map_err(|e| FaultPhaseError::Stalled {
+            at: e.at,
+            starved: e.starved,
+        })?;
+    let evidence = ChaosEvidence {
+        entry_capacities,
+        terminal_capacities: net.capacity_snapshot(),
+        resolved_events: timeline.len(),
+    };
+
+    let blame_log = blame_probe.map(|p| p.snapshot());
+    let (measured, traced_seconds) = match closed_loop {
+        Some((utilization, bottleneck)) => {
+            // Metadata cost: charged once per file per rank (N-N: one
+            // file each); a shared file amortizes opens across the job.
+            let meta_cost = if phase.file_per_proc {
+                prov.metadata_latency
+            } else {
+                prov.metadata_latency / (nodes as f64 * ppn as f64)
+            };
+            // A class's completion is every member's completion.
+            let per_node_end = if prov.classes.is_empty() {
+                unit_end
+            } else {
+                let mut per_node = vec![0.0_f64; nodes as usize];
+                for (class, &end) in prov.classes.iter().zip(&unit_end) {
+                    for &m in &class.members {
+                        per_node[m as usize] = end;
+                    }
+                }
+                per_node
+            };
+            let duration = per_node_end.iter().fold(0.0_f64, |a, &b| a.max(b)) + meta_cost;
+            let total_bytes = phase.total_bytes(nodes, ppn);
+            let outcome = PhaseOutcome {
+                nodes,
+                ppn,
+                total_bytes,
+                duration,
+                agg_bandwidth: total_bytes / duration,
+                per_node_duration: per_node_end.iter().map(|t| t + meta_cost).collect(),
+                utilization,
+                bottleneck,
+            };
+            (Measured::Closed(outcome), duration)
+        }
+        None => {
+            let provenance = blame_log
+                .as_ref()
+                .map(|log| ProvenanceMetrics::from_log(log, histogram.p99().unwrap_or(0.0)));
+            let outcome = OpenLoopOutcome {
+                nodes,
+                ppn,
+                ops_offered,
+                ops_completed,
+                total_bytes: bytes,
+                end: report.end,
+                agg_bandwidth: bytes / report.end,
+                histogram,
+                report,
+                provenance,
+            };
+            (Measured::Open(outcome), report.end)
+        }
+    };
+    if let (Some((recorder, label)), Some(probe)) = (observe.trace, probe) {
+        // Blame annotation spans share the phase's clock frame:
+        // merge_events does not advance the clock, absorb_phase does.
+        if let Some(log) = &blame_log {
+            recorder.merge_events(&crate::telemetry::blame_spans(label, log));
+        }
+        recorder.absorb_phase(label, &probe.snapshot(), &prov.stage_kinds, traced_seconds);
+    }
+    Ok((measured, report, evidence))
+}
+
+/// Steady-state snapshot with every rank active: which resource binds?
+/// (Rate caps are per-flow constraints, not resources; if no resource
+/// saturates, the streams themselves are the limit.) Ties on the
+/// utilization ratio break toward the earliest resource in provisioning
+/// order — client side first — so attribution is a function of the
+/// deployment graph, not of iterator internals.
+fn steady_state_bottleneck(
+    net: &mut FlowNet,
+    prov: &crate::system::Provisioned,
+) -> (Vec<(String, f64, f64)>, Option<Bottleneck>) {
     let utilization = net.resource_utilization();
-    let kind_of: std::collections::HashMap<usize, crate::graph::StageKind> = prov
+    let kind_of: std::collections::HashMap<usize, StageKind> = prov
         .stage_kinds
         .iter()
         .map(|(id, kind)| (id.index(), *kind))
@@ -497,67 +546,7 @@ fn run_phase_impl(
             .unwrap_or_else(|| panic!("resource {} missing from stage_kinds", utilization[i].0)),
         name: utilization[i].0.clone(),
     });
-
-    let mut per_node_end = vec![0.0_f64; nodes as usize];
-    // In an aggregated plan a flow's tag is its class index and its
-    // completion is every member's completion; expanded plans tag by
-    // node directly.
-    let classes = &prov.classes;
-    let note_end = |per_node_end: &mut Vec<f64>, tag: u64, at: f64| {
-        if classes.is_empty() {
-            per_node_end[tag as usize] = at;
-        } else {
-            for &m in &classes[tag as usize].members {
-                per_node_end[m as usize] = at;
-            }
-        }
-    };
-    let (fault_report, evidence) = if faults.is_empty() && !chaos {
-        // The fault-free drive loop is untouched: bit-identical to
-        // every pre-fault-injection release, as the differential tests
-        // pin.
-        net.run_to_completion(|_, c| {
-            note_end(&mut per_node_end, c.tag, c.at);
-        });
-        (None, None)
-    } else {
-        let timeline = resolve_faults_planned(faults, &net, &prov)?;
-        let entry = chaos.then(|| net.capacity_snapshot());
-        let report = net
-            .run_with_faults(&timeline, |_, c| {
-                note_end(&mut per_node_end, c.tag, c.at);
-            })
-            .map_err(|e| FaultPhaseError::Stalled {
-                at: e.at,
-                starved: e.starved,
-            })?;
-        let evidence = entry.map(|entry_capacities| ChaosEvidence {
-            entry_capacities,
-            terminal_capacities: net.capacity_snapshot(),
-            resolved_events: timeline.len(),
-        });
-        (Some(report), evidence)
-    };
-
-    let duration: f64 = per_node_end.iter().fold(0.0_f64, |a, &b| a.max(b)) + meta_cost;
-    if let (Some((recorder, label)), Some(probe)) = (telemetry, probe) {
-        recorder.absorb_phase(label, &probe.snapshot(), &prov.stage_kinds, duration);
-    }
-    let total_bytes = phase.total_bytes(nodes, ppn);
-    Ok((
-        PhaseOutcome {
-            nodes,
-            ppn,
-            total_bytes,
-            duration,
-            agg_bandwidth: total_bytes / duration,
-            per_node_duration: per_node_end.iter().map(|t| t + meta_cost).collect(),
-            utilization,
-            bottleneck,
-        },
-        fault_report,
-        evidence,
-    ))
+    (utilization, bottleneck)
 }
 
 /// Result of one open-loop phase run: throughput accounting plus the
@@ -604,20 +593,21 @@ pub struct OpenLoopOutcome {
 /// member-equivalent schedule is drawn per class and every arrival
 /// carries the class multiplicity, so each completion records
 /// `members` observations — the merged histogram is the class-weighted
-/// population. Provisioning, per-stream caps and the fault machinery
-/// are exactly the closed-loop runner's: `faults` resolve against the
-/// same planned graph and compose with the arrival schedule in one
-/// deterministic drive loop.
-///
-/// # Panics
-/// Panics on a `Closed` arrival (the executor validates specs first),
-/// an invalid rate/duration, or a window so short it injects nothing.
+/// population. Provisioning, per-stream caps, the fault machinery and
+/// the drive loop are the closed-loop runner's: `faults` resolve
+/// against the same planned graph and compose with the arrival
+/// schedule in one deterministic drive.
 ///
 /// With `provenance` set, a second pure-listener probe records every
 /// op's exact latency decomposition (queueing + stall + per-resource
 /// blame + ideal) and the outcome carries the aggregated
 /// [`ProvenanceMetrics`]; every other field stays bit-identical to an
 /// unobserved run.
+///
+/// # Panics
+/// Panics on a `Closed` arrival (the executor validates specs first),
+/// an invalid rate/duration, or a window so short it injects nothing.
+#[allow(clippy::too_many_arguments)]
 pub fn run_phase_open_loop(
     system: &dyn StorageSystem,
     nodes: u32,
@@ -628,135 +618,21 @@ pub fn run_phase_open_loop(
     telemetry: Option<(&mut Recorder, &str)>,
     provenance: bool,
 ) -> Result<OpenLoopOutcome, FaultPhaseError> {
-    let Arrival::Open {
-        rate,
-        discipline,
-        duration,
-        seed,
-    } = *arrival
-    else {
-        panic!("run_phase_open_loop needs an Open arrival spec");
-    };
-    arrival.check().expect("validated arrival spec");
-    phase.validate();
-    assert!(nodes >= 1, "need at least one node");
-    assert!(ppn >= 1, "need at least one rank per node");
-
-    let mut net = FlowNet::new();
-    let probe = telemetry.is_some().then(|| FlowLogHandle::attach(&mut net));
-    // The provenance probe stacks beside the flow log (both are pure
-    // listeners), so --metrics and --provenance observe the same run.
-    let blame_probe = provenance.then(|| ProvenanceHandle::attach(&mut net));
-    let prov = system.provision_classed(&mut net, nodes, ppn, phase, &PlanOptions::auto(faults));
-    assert_eq!(
-        prov.client_nodes(),
-        nodes as usize,
-        "{}: provision covered {} client nodes out of {}",
-        system.name(),
-        prov.client_nodes(),
-        nodes
-    );
-
-    // Same per-stream ceiling as the closed-loop runner: an operation
-    // is one blocking transfer on one rank's stream.
-    let lock_latency = shared_file_lock_latency(phase, nodes, ppn);
-    let stream_cap = {
-        let base = prov.effective_stream_bw(phase.transfer_size);
-        if lock_latency > 0.0 && base.is_finite() && base > 0.0 {
-            phase.transfer_size / (phase.transfer_size / base + lock_latency)
-        } else if lock_latency > 0.0 {
-            phase.transfer_size / lock_latency
-        } else {
-            base
-        }
-    };
-
-    // One arrival stream per client unit — a node in an expanded plan,
-    // a node-equivalence class in an aggregated one. Each unit offers
-    // the per-node rate; a class arrival carries the class multiplicity
-    // and records `members` observations per completion, so aggregated
-    // and expanded decks describe the same offered load.
-    let op_code = match phase.op {
-        hcs_devices::IoOp::Write => 0,
-        hcs_devices::IoOp::Read => 1,
-    };
-    let size_code = phase.transfer_size.max(1.0).log2().round() as u32;
-    let unit_rate = rate / nodes as f64;
-    let units: Vec<(Vec<ResourceId>, u32)> = if prov.classes.is_empty() {
-        prov.node_paths.iter().map(|p| (p.clone(), 1)).collect()
-    } else {
-        prov.classes
-            .iter()
-            .map(|c| (c.path.clone(), c.members.len() as u32))
-            .collect()
-    };
-    let arrival_rng = SimRng::new(seed);
-    let mut arrivals: Vec<(f64, FlowSpec)> = Vec::new();
-    let mut weights: Vec<u64> = Vec::with_capacity(units.len());
-    let mut ops_offered = 0u64;
-    for (unit, (path, members)) in units.iter().enumerate() {
-        let mut rng = arrival_rng.split_idx("open-arrivals", unit as u64);
-        let times =
-            hcs_simkit::arrival_times(discipline.as_simkit(), unit_rate, duration, &mut rng);
-        ops_offered += *members as u64 * times.len() as u64;
-        weights.push(*members as u64);
-        for t in times {
-            let mut spec = FlowSpec::new(path.clone(), phase.transfer_size)
-                .with_multiplicity(*members)
-                .with_represents(*members)
-                .with_tag(unit as u64)
-                .with_op(op_code, size_code);
-            if stream_cap.is_finite() && stream_cap > 0.0 {
-                spec = spec.with_rate_cap(stream_cap);
-            }
-            arrivals.push((t, spec));
-        }
-    }
     assert!(
-        ops_offered > 0,
-        "open-loop window injected no operations (rate {rate} ops/s x {duration} s \
-         across {nodes} nodes); increase the rate or the duration"
+        !arrival.is_closed(),
+        "run_phase_open_loop needs an Open arrival spec"
     );
-
-    let timeline = resolve_faults_planned(faults, &net, &prov)?;
-    let mut histogram = LatencyHistogram::new();
-    let mut ops_completed = 0u64;
-    let mut bytes = 0.0;
-    let report = net
-        .run_open_loop(arrivals, &timeline, |_, c| {
-            let weight = weights[c.tag as usize];
-            histogram.record_n(c.latency, weight);
-            ops_completed += weight;
-            bytes += weight as f64 * phase.transfer_size;
-        })
-        .map_err(|e| FaultPhaseError::Stalled {
-            at: e.at,
-            starved: e.starved,
-        })?;
-
-    let blame_log = blame_probe.map(|p| p.snapshot());
-    if let (Some((recorder, label)), Some(probe)) = (telemetry, probe) {
-        // Blame annotation spans share the phase's clock frame:
-        // merge_events does not advance the clock, absorb_phase does.
-        if let Some(log) = &blame_log {
-            recorder.merge_events(&crate::telemetry::blame_spans(label, log));
-        }
-        recorder.absorb_phase(label, &probe.snapshot(), &prov.stage_kinds, report.end);
-    }
-    let provenance = blame_log
-        .map(|log| ProvenanceMetrics::from_log(&log, histogram.p99().unwrap_or(0.0)));
-    Ok(OpenLoopOutcome {
-        nodes,
-        ppn,
-        ops_offered,
-        ops_completed,
-        total_bytes: bytes,
-        end: report.end,
-        agg_bandwidth: bytes / report.end,
-        histogram,
-        report,
+    arrival.check().expect("validated arrival spec");
+    let observe = Observe {
+        trace: telemetry,
         provenance,
-    })
+    };
+    match execute(system, nodes, ppn, phase, arrival, faults, observe)? {
+        (Measured::Open(outcome), _, _) => Ok(outcome),
+        (Measured::Closed(_), _, _) => {
+            unreachable!("an open arrival measures an open-loop outcome")
+        }
+    }
 }
 
 /// Extra per-operation latency paid by N-1 (shared-file) access.
@@ -780,83 +656,42 @@ fn shared_file_lock_latency(phase: &PhaseSpec, nodes: u32, ppn: u32) -> f64 {
 /// (shared-machine contention, §IV.C: tests are repeated 10 times).
 ///
 /// Noise is a deterministic, seeded, mean-one multiplicative jitter on
-/// each repetition's duration.
+/// each repetition's duration, applied analytically to one noise-free
+/// base run (repetitions add no flow activity). With `trace`, that base
+/// run's telemetry lands in the recorder under the given label.
+///
+/// Under a non-empty fault schedule the base run is faulted and the
+/// outcome is paired with [`ResilienceMetrics`] against a fault-free
+/// twin: the identical untraced noise-free run without the schedule —
+/// same system, same graph, same seeds — so the slowdown factor is an
+/// exact like-for-like comparison. The noise stream is consumed
+/// identically with or without faults or a trace (common random
+/// numbers).
+#[allow(clippy::too_many_arguments)]
 pub fn run_phase_repeated(
     system: &dyn StorageSystem,
     nodes: u32,
     ppn: u32,
     phase: &PhaseSpec,
-    reps: u32,
-    rng: &mut SimRng,
-) -> RepeatedOutcome {
-    assert!(reps >= 1, "need at least one repetition");
-    let base = run_phase(system, nodes, ppn, phase);
-    jittered_outcome(system, &base, reps, rng)
-}
-
-/// [`run_phase_repeated`] with telemetry: the noise-free base run is
-/// traced (noise is applied analytically afterwards, so repetitions add
-/// no flow activity). Bandwidth draws are bit-identical to the untraced
-/// variant's — the rng is consumed identically.
-pub fn run_phase_repeated_traced(
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-    reps: u32,
-    rng: &mut SimRng,
-    recorder: &mut Recorder,
-) -> RepeatedOutcome {
-    assert!(reps >= 1, "need at least one repetition");
-    let base = run_phase_traced(system, nodes, ppn, phase, recorder);
-    jittered_outcome(system, &base, reps, rng)
-}
-
-/// [`run_phase_repeated`] under a fault schedule, with resilience
-/// accounting against a fault-free twin.
-///
-/// The twin is the identical noise-free run without the schedule —
-/// same system, same graph, same seeds — so the slowdown factor is an
-/// exact like-for-like comparison. Noise is drawn from `rng` exactly as
-/// in the fault-free executor (common random numbers), applied to the
-/// faulted base duration.
-pub fn run_phase_repeated_faulted(
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
     faults: &[FaultSpec],
     reps: u32,
     rng: &mut SimRng,
-) -> Result<(RepeatedOutcome, ResilienceMetrics), FaultPhaseError> {
+    trace: Option<(&mut Recorder, &str)>,
+) -> Result<(RepeatedOutcome, Option<ResilienceMetrics>), FaultPhaseError> {
     assert!(reps >= 1, "need at least one repetition");
-    let twin = run_phase(system, nodes, ppn, phase);
-    let (base, report) = run_phase_with_faults(system, nodes, ppn, phase, faults)?;
-    let resilience = resilience_of(&twin, &base, &report);
-    Ok((jittered_outcome(system, &base, reps, rng), resilience))
-}
-
-/// [`run_phase_repeated_faulted`] with telemetry: the *faulted* base
-/// run is traced (the twin is not), so the recorder's utilization
-/// timelines and Chrome trace show the outage/stall window.
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_repeated_faulted_traced(
-    label: &str,
-    system: &dyn StorageSystem,
-    nodes: u32,
-    ppn: u32,
-    phase: &PhaseSpec,
-    faults: &[FaultSpec],
-    reps: u32,
-    rng: &mut SimRng,
-    recorder: &mut Recorder,
-) -> Result<(RepeatedOutcome, ResilienceMetrics), FaultPhaseError> {
-    assert!(reps >= 1, "need at least one repetition");
-    let twin = run_phase(system, nodes, ppn, phase);
-    let (base, report) =
-        run_phase_with_faults_traced(label, system, nodes, ppn, phase, faults, recorder)?;
-    let resilience = resilience_of(&twin, &base, &report);
-    Ok((jittered_outcome(system, &base, reps, rng), resilience))
+    let observe = Observe {
+        trace,
+        provenance: false,
+    };
+    let base = run_closed(system, nodes, ppn, phase, faults, observe)?;
+    let resilience = (!faults.is_empty()).then(|| {
+        let twin = run_phase(system, nodes, ppn, phase);
+        resilience_of(&twin, &base.outcome, &base.report)
+    });
+    Ok((
+        jittered_outcome(system, &base.outcome, reps, rng),
+        resilience,
+    ))
 }
 
 /// Folds a faulted run and its fault-free twin into the serializable
@@ -903,6 +738,21 @@ mod tests {
     use crate::testing::UniformSystem;
     use hcs_simkit::units::{GIB, MIB};
 
+    /// A fault-free, untraced [`run_phase_repeated`].
+    fn repeated(
+        sys: &dyn StorageSystem,
+        nodes: u32,
+        ppn: u32,
+        phase: &PhaseSpec,
+        reps: u32,
+        rng: &mut SimRng,
+    ) -> RepeatedOutcome {
+        let (outcome, resilience) =
+            run_phase_repeated(sys, nodes, ppn, phase, &[], reps, rng, None).unwrap();
+        assert!(resilience.is_none());
+        outcome
+    }
+
     #[test]
     fn single_node_hits_stream_cap_or_pool() {
         let sys = UniformSystem::new("toy", 100.0 * GIB).with_stream_bw(1.0 * GIB);
@@ -942,8 +792,8 @@ mod tests {
         let phase = PhaseSpec::seq_read(MIB, GIB);
         let mut r1 = SimRng::new(7);
         let mut r2 = SimRng::new(7);
-        let a = run_phase_repeated(&sys, 2, 4, &phase, 10, &mut r1);
-        let b = run_phase_repeated(&sys, 2, 4, &phase, 10, &mut r2);
+        let a = repeated(&sys, 2, 4, &phase, 10, &mut r1);
+        let b = repeated(&sys, 2, 4, &phase, 10, &mut r2);
         assert_eq!(a.bandwidths, b.bandwidths);
         assert_eq!(a.summary.count, 10);
     }
@@ -953,7 +803,7 @@ mod tests {
         let sys = UniformSystem::new("toy", 10.0 * GIB);
         let phase = PhaseSpec::seq_read(MIB, GIB);
         let mut rng = SimRng::new(42);
-        let rep = run_phase_repeated(&sys, 2, 4, &phase, 200, &mut rng);
+        let rep = repeated(&sys, 2, 4, &phase, 200, &mut rng);
         let base = run_phase(&sys, 2, 4, &phase).agg_bandwidth;
         assert!((rep.summary.mean / base - 1.0).abs() < 0.03);
     }
@@ -1007,7 +857,8 @@ mod tests {
         let phase = PhaseSpec::seq_write(MIB, GIB);
         let twin = run_phase(&sys, 2, 4, &phase);
         let faults = [FaultSpec::outage(StageKind::ServerPool, 0.1, 0.35)];
-        let (out, report) = run_phase_with_faults(&sys, 2, 4, &phase, &faults).unwrap();
+        let run = run_phase_chaos(&sys, 2, 4, &phase, &faults).unwrap();
+        let (out, report) = (run.outcome, run.report);
         // Nothing moves during a full pool outage, so completion shifts
         // by the window width and the stall is the whole window.
         assert!((out.duration - (twin.duration + 0.25)).abs() < 1e-9);
@@ -1021,7 +872,8 @@ mod tests {
         let phase = PhaseSpec::seq_write(MIB, GIB);
         let twin = run_phase(&sys, 2, 4, &phase);
         let faults = [FaultSpec::degrade(StageKind::ServerPool, 0.1, 0.35, 0.5)];
-        let (out, report) = run_phase_with_faults(&sys, 2, 4, &phase, &faults).unwrap();
+        let run = run_phase_chaos(&sys, 2, 4, &phase, &faults).unwrap();
+        let (out, report) = (run.outcome, run.report);
         assert!(out.duration > twin.duration);
         assert!(out.duration < twin.duration + 0.25);
         assert_eq!(report.stall_seconds, 0.0);
@@ -1034,7 +886,8 @@ mod tests {
         let faults = [FaultSpec::outage(StageKind::ServerPool, 0.1, 0.35)];
         let mut r1 = SimRng::new(7);
         let (outcome, res) =
-            run_phase_repeated_faulted(&sys, 2, 4, &phase, &faults, 10, &mut r1).unwrap();
+            run_phase_repeated(&sys, 2, 4, &phase, &faults, 10, &mut r1, None).unwrap();
+        let res = res.expect("a faulted run reports resilience");
         assert!(res.slowdown_factor > 1.0);
         assert!((res.faulted_seconds - (res.fault_free_seconds + 0.25)).abs() < 1e-9);
         assert!((res.stall_seconds - 0.25).abs() < 1e-9);
@@ -1043,7 +896,7 @@ mod tests {
         // noise stream of the fault-free twin, so every rep's ratio to
         // it is the same duration factor.
         let mut r2 = SimRng::new(7);
-        let twin = run_phase_repeated(&sys, 2, 4, &phase, 10, &mut r2);
+        let twin = repeated(&sys, 2, 4, &phase, 10, &mut r2);
         for (f, t) in outcome.bandwidths.iter().zip(&twin.bandwidths) {
             let ratio = t / f;
             assert!((ratio - res.slowdown_factor).abs() < 1e-9, "{ratio}");
@@ -1055,7 +908,7 @@ mod tests {
         let sys = UniformSystem::new("toy", GIB);
         let phase = PhaseSpec::seq_write(MIB, GIB);
         let faults = [FaultSpec::outage(StageKind::Gateway, 0.1, 0.35)];
-        let err = run_phase_with_faults(&sys, 2, 4, &phase, &faults).unwrap_err();
+        let err = run_phase_chaos(&sys, 2, 4, &phase, &faults).unwrap_err();
         match &err {
             FaultPhaseError::UnmatchedStage { stage, name } => {
                 assert_eq!(*stage, StageKind::Gateway);
@@ -1071,7 +924,7 @@ mod tests {
         let sys = UniformSystem::new("toy", GIB);
         let phase = PhaseSpec::seq_write(MIB, GIB);
         let faults = [FaultSpec::outage(StageKind::ServerPool, 3.0, 1.0)];
-        let err = run_phase_with_faults(&sys, 2, 4, &phase, &faults).unwrap_err();
+        let err = run_phase_chaos(&sys, 2, 4, &phase, &faults).unwrap_err();
         assert!(matches!(err, FaultPhaseError::InvalidSpec(_)), "{err}");
     }
 
@@ -1083,7 +936,8 @@ mod tests {
         let phase = PhaseSpec::seq_write(MIB, GIB);
         let twin = run_phase(&sys, 2, 4, &phase);
         let faults = [FaultSpec::outage(StageKind::ClientMount, 0.1, 0.3)];
-        let (out, report) = run_phase_with_faults(&sys, 2, 4, &phase, &faults).unwrap();
+        let run = run_phase_chaos(&sys, 2, 4, &phase, &faults).unwrap();
+        let (out, report) = (run.outcome, run.report);
         assert!((out.duration - (twin.duration + 0.2)).abs() < 1e-9);
         // Two mount resources, each with an outage + recovery event.
         assert_eq!(report.events_applied, 4);
@@ -1199,7 +1053,8 @@ mod tests {
         };
         let clean = run_phase_open_loop(&sys, 2, 4, &phase, &arrival, &[], None, false).unwrap();
         let faults = [FaultSpec::outage(StageKind::ServerPool, 0.1, 0.3)];
-        let faulted = run_phase_open_loop(&sys, 2, 4, &phase, &arrival, &faults, None, false).unwrap();
+        let faulted =
+            run_phase_open_loop(&sys, 2, 4, &phase, &arrival, &faults, None, false).unwrap();
         // Same offered schedule, so the same population completes.
         assert_eq!(faulted.ops_completed, clean.ops_completed);
         // Ops caught by the 0.2 s outage wait it out: the tail grows by
@@ -1238,7 +1093,8 @@ mod tests {
                 steps: 4,
             },
         };
-        let (out, report) = run_phase_with_faults(&sys, 2, 4, &phase, &[spec]).unwrap();
+        let run = run_phase_chaos(&sys, 2, 4, &phase, &[spec]).unwrap();
+        let (out, report) = (run.outcome, run.report);
         let twin = run_phase(&sys, 2, 4, &phase);
         // 4 slices + 1 recovery on the single pool resource.
         assert_eq!(report.events_applied, 5);
@@ -1256,7 +1112,9 @@ mod tests {
                 steps: 4,
             },
         };
-        let (out2, _) = run_phase_with_faults(&sys, 2, 4, &phase, &[spec2]).unwrap();
+        let out2 = run_phase_chaos(&sys, 2, 4, &phase, &[spec2])
+            .unwrap()
+            .outcome;
         assert_eq!(out.duration.to_bits(), out2.duration.to_bits());
     }
 }

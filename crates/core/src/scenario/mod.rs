@@ -476,8 +476,8 @@ impl Discipline {
 /// scenario file and result artifact stays byte-identical.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum Arrival {
-    /// Closed loop: ranks re-issue on completion (the existing
-    /// `run_to_completion` pipeline, untouched).
+    /// Closed loop: ranks re-issue on completion (every rank's stream
+    /// is present when the drive loop starts).
     #[default]
     Closed,
     /// Open loop: operations arrive at `rate` ops/s for `duration`

@@ -5,10 +5,11 @@
 //! currency: `hcs-dftrace` [`TraceEvent`]s (Chrome-trace dumpable) plus
 //! per-resource utilization timelines and a [`MetricsSummary`]
 //! (busy fractions, time-weighted bottleneck attribution). Every
-//! entry point grows a traced variant — `run_phase_traced`,
-//! [`crate::JobScript::run_traced`], `run_ior_traced`,
-//! `run_dlio_traced` — all feeding one recorder, so an entire campaign
-//! lands in a single trace with a consistent clock.
+//! layer's entry takes an optional recorder —
+//! [`crate::runner::run_phase_repeated`]'s trace,
+//! [`crate::JobScript::run_traced`], `run_ior_with`, `run_dlio_traced`,
+//! `run_deck` — all feeding one recorder, so an entire campaign lands
+//! in a single trace with a consistent clock.
 //!
 //! ## Event model
 //!

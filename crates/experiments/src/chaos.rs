@@ -92,7 +92,7 @@ fn prepare_point(scenario: &Scenario) -> Result<PointCtx, String> {
 }
 
 /// Drives one timeline (and, for multi-fault jitter-free timelines, its
-/// all-but-last prefix) through the forced fault path. Systems are
+/// all-but-last prefix) through [`run_phase_chaos`]. Systems are
 /// rebuilt per task: `StorageSystem` boxes aren't shared across the
 /// sweep pool, and construction is cheap next to the solve.
 fn drive_timeline(ctx: &PointCtx, specs: &[FaultSpec]) -> TimelineRun {

@@ -16,14 +16,11 @@ use std::time::Instant;
 
 use hcs_core::runner::OpenLoopOutcome;
 use hcs_core::{
-    Arrival, Deck, DeckMetricsSummary, FaultSpec, IoOp, OpLatency, PointMetrics, Reconfigured,
-    Recorder, ResilienceMetrics, Scenario, StageKind, StorageSystem, Workload,
+    Deck, DeckMetricsSummary, FaultSpec, IoOp, OpLatency, PointMetrics, Reconfigured, Recorder,
+    Scenario, StageKind, StorageSystem, Workload,
 };
 use hcs_dlio::{run_dlio, run_dlio_traced, DlioResult};
-use hcs_ior::{
-    run_ior, run_ior_faulted, run_ior_faulted_traced, run_ior_open_loop,
-    run_ior_open_loop_observed, run_ior_open_loop_traced, run_ior_traced, IorReport,
-};
+use hcs_ior::{run_ior, run_ior_with, IorReport, IorRun};
 use hcs_mdtest::{run_mdtest, MdtestReport};
 use hcs_replay::{replay, ReplayResult};
 
@@ -259,84 +256,17 @@ pub fn run_workload_on_traced(
     recorder: &mut Recorder,
 ) -> WorkloadOutcome {
     match workload {
-        Workload::Ior(c) => WorkloadOutcome::Ior(run_ior_traced(system, c, recorder)),
+        Workload::Ior(c) => {
+            let run = IorRun {
+                recorder: Some(recorder),
+                ..IorRun::default()
+            };
+            let out = run_ior_with(system, c, run).unwrap_or_else(|e| panic!("{e}"));
+            WorkloadOutcome::Ior(out.report)
+        }
         Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio_traced(system, c, nodes, recorder)),
         Workload::Job(j) => WorkloadOutcome::Job(j.run_traced(system, nodes, ppn, recorder)),
         Workload::Mdtest(_) | Workload::Replay(_) => run_workload_on(system, workload, nodes, ppn),
-    }
-}
-
-/// Runs a fault-injected workload, returning the outcome and its
-/// resilience record (slowdown vs. the fault-free twin, stall and
-/// drain seconds).
-///
-/// # Panics
-/// Panics when the workload family is not IOR (fault injection targets
-/// the flow-level phase runner; the other families' engines do not
-/// consume capacity schedules yet) or when the schedule fails to
-/// resolve — `validate_deck` catches both ahead of time with a clean
-/// diagnostic.
-fn run_workload_faulted(
-    system: &dyn StorageSystem,
-    workload: &Workload,
-    faults: &[FaultSpec],
-    recorder: Option<&mut Recorder>,
-    label: &str,
-) -> (WorkloadOutcome, ResilienceMetrics) {
-    let config = match workload {
-        Workload::Ior(c) => c,
-        other => panic!(
-            "scenario '{label}': fault injection supports the IOR family only (got {})",
-            other.kind()
-        ),
-    };
-    let result = match recorder {
-        Some(rec) => run_ior_faulted_traced(system, config, faults, rec),
-        None => run_ior_faulted(system, config, faults),
-    };
-    match result {
-        Ok((report, resilience)) => (WorkloadOutcome::Ior(report), resilience),
-        Err(e) => panic!("scenario '{label}': {e}"),
-    }
-}
-
-/// Runs an open-loop workload: operations arrive at the scenario's
-/// offered rate instead of back-to-back, and every completion's
-/// submit→finish latency lands in an HDR-style histogram. Returns the
-/// (single-rep) outcome plus the open-loop observables.
-///
-/// # Panics
-/// Panics when the workload family is not IOR (open-loop arrival
-/// injection drives the flow-level phase runner, like fault injection)
-/// or when the run stalls unrecovered — `validate_deck` catches the
-/// family mismatch ahead of time with a clean diagnostic.
-fn run_workload_open_loop(
-    system: &dyn StorageSystem,
-    workload: &Workload,
-    arrival: &Arrival,
-    faults: &[FaultSpec],
-    recorder: Option<&mut Recorder>,
-    provenance: bool,
-    label: &str,
-) -> (WorkloadOutcome, OpenLoopOutcome) {
-    let config = match workload {
-        Workload::Ior(c) => c,
-        other => panic!(
-            "scenario '{label}': open-loop arrivals support the IOR family only (got {})",
-            other.kind()
-        ),
-    };
-    let result = if provenance {
-        run_ior_open_loop_observed(system, config, arrival, faults, recorder)
-    } else {
-        match recorder {
-            Some(rec) => run_ior_open_loop_traced(system, config, arrival, faults, rec),
-            None => run_ior_open_loop(system, config, arrival, faults),
-        }
-    };
-    match result {
-        Ok((report, open)) => (WorkloadOutcome::Ior(report), open),
-        Err(e) => panic!("scenario '{label}': {e}"),
     }
 }
 
@@ -488,170 +418,155 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one scenario point.
+/// What a run distills from each deck point.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Meter {
+    /// Outcomes only.
+    #[default]
+    Off,
+    /// Each point runs traced into a private recorder and carries its
+    /// [`PointMetrics`]; the deck gains its [`DeckMetricsSummary`].
+    Metrics,
+    /// [`Meter::Metrics`] plus the per-op latency-blame probe on every
+    /// open-loop point: its metrics carry a `provenance` record, knee
+    /// verdicts gain `knee_blame`, and `hcs report` renders the **Tail
+    /// forensics** section. Call [`validate_provenance`] first: the
+    /// probe rides the open-loop IOR phase runner only.
+    Provenance,
+}
+
+/// Runs one scenario point. With a `recorder`, the point runs into a
+/// private recorder that is then stacked onto it (so per-point metrics
+/// see only their own run); a plain point attaches no recorder at all.
+/// Every observer is a pure listener: the outcome is bit-identical
+/// whatever `recorder` and `meter` are.
 ///
 /// # Panics
-/// Panics on an unknown system name or an invalid workload.
-pub fn run_scenario(scenario: &Scenario) -> PointResult {
-    run_scenario_impl(scenario, None)
-}
-
-/// [`run_scenario`] with telemetry.
-pub fn run_scenario_traced(scenario: &Scenario, recorder: &mut Recorder) -> PointResult {
-    run_scenario_impl(scenario, Some(recorder))
-}
-
-fn run_scenario_impl(scenario: &Scenario, recorder: Option<&mut Recorder>) -> PointResult {
-    let (system, full_ppn) = build_system(scenario);
-    let workload = scenario.resolved_workload(full_ppn);
-    workload.validate();
-    let nodes = scenario.run_nodes();
-    let ppn = scenario.run_ppn(full_ppn);
-    let outcome = if !scenario.arrival.is_closed() {
-        run_workload_open_loop(
-            &*system,
-            &workload,
-            &scenario.arrival,
-            &scenario.faults,
-            recorder,
-            false,
-            &scenario.name,
-        )
-        .0
-    } else if scenario.faults.is_empty() {
-        match recorder {
-            Some(rec) => run_workload_on_traced(&system, &workload, nodes, ppn, rec),
-            None => run_workload_on(&system, &workload, nodes, ppn),
-        }
-    } else {
-        run_workload_faulted(
-            &*system,
-            &workload,
-            &scenario.faults,
-            recorder,
-            &scenario.name,
-        )
-        .0
-    };
-    PointResult {
-        scenario: scenario.clone(),
-        system: system.name().to_string(),
-        nodes,
-        ppn,
-        outcome,
-        metrics: None,
-    }
-}
-
-/// [`run_scenario`] with observability: runs the point traced into a
-/// private recorder and distills the run into [`PointMetrics`]. The
-/// outcome is bit-identical to [`run_scenario`]'s — the recorder is a
-/// pure listener and the traced twins reproduce the untraced results.
-pub fn run_scenario_metered(scenario: &Scenario) -> PointResult {
-    run_scenario_metered_impl(scenario, false).0
-}
-
-/// The metered executor's core: also returns the point's private
-/// recorder so a traced deck run can stack it onto a shared timeline.
-fn run_scenario_metered_impl(scenario: &Scenario, provenance: bool) -> (PointResult, Recorder) {
+/// Panics on an unknown system name, an invalid workload, or fault
+/// injection or open-loop arrivals on a family other than IOR (the
+/// other families' engines do not consume capacity schedules or
+/// arrival processes yet) — `validate_deck` catches all of these ahead
+/// of time with a clean diagnostic — and when a fault schedule leaves
+/// the run stalled.
+pub fn run_scenario(
+    scenario: &Scenario,
+    recorder: Option<&mut Recorder>,
+    meter: Meter,
+) -> PointResult {
     let start = Instant::now();
     let (system, full_ppn) = build_system(scenario);
     let workload = scenario.resolved_workload(full_ppn);
     workload.validate();
     let nodes = scenario.run_nodes();
     let ppn = scenario.run_ppn(full_ppn);
-    let mut rec = Recorder::new();
-    let (outcome, resilience, latency, blame) = if !scenario.arrival.is_closed() {
-        let (outcome, open) = run_workload_open_loop(
-            &*system,
-            &workload,
-            &scenario.arrival,
-            &scenario.faults,
-            Some(&mut rec),
-            provenance,
-            &scenario.name,
-        );
-        let latency = open_loop_latency(&workload, &open);
-        let blame = open.provenance;
-        (outcome, None, latency, blame)
-    } else if scenario.faults.is_empty() {
-        let outcome = run_workload_on_traced(&system, &workload, nodes, ppn, &mut rec);
-        (outcome, None, Vec::new(), None)
-    } else {
-        let (outcome, resilience) = run_workload_faulted(
-            &*system,
-            &workload,
-            &scenario.faults,
-            Some(&mut rec),
-            &scenario.name,
-        );
-        (outcome, Some(resilience), Vec::new(), None)
+    let mut rec = (recorder.is_some() || meter != Meter::Off).then(Recorder::new);
+    let (outcome, resilience, open) = match &workload {
+        Workload::Ior(config) => {
+            let run = IorRun {
+                arrival: scenario.arrival,
+                faults: &scenario.faults,
+                recorder: rec.as_mut(),
+                provenance: meter == Meter::Provenance,
+            };
+            let out = run_ior_with(&*system, config, run)
+                .unwrap_or_else(|e| panic!("scenario '{}': {e}", scenario.name));
+            (
+                WorkloadOutcome::Ior(out.report),
+                out.resilience,
+                out.open_loop,
+            )
+        }
+        other => {
+            let unsupported = if !scenario.arrival.is_closed() {
+                Some("open-loop arrivals support")
+            } else if !scenario.faults.is_empty() {
+                Some("fault injection supports")
+            } else {
+                None
+            };
+            if let Some(capability) = unsupported {
+                panic!(
+                    "scenario '{}': {capability} the IOR family only (got {})",
+                    scenario.name,
+                    other.kind()
+                );
+            }
+            let outcome = match rec.as_mut() {
+                Some(rec) => run_workload_on_traced(&*system, other, nodes, ppn, rec),
+                None => run_workload_on(&*system, other, nodes, ppn),
+            };
+            (outcome, None, None)
+        }
     };
-    let mut metrics = collect_point_metrics(&workload, &outcome, &rec, nodes, ppn);
-    metrics.wall_clock_seconds = start.elapsed().as_secs_f64();
-    metrics.resilience = resilience;
-    metrics.latency = latency;
-    metrics.provenance = blame;
-    (
-        PointResult {
-            scenario: scenario.clone(),
-            system: system.name().to_string(),
-            nodes,
-            ppn,
-            outcome,
-            metrics: Some(metrics),
-        },
-        rec,
-    )
-}
-
-/// Runs a list of scenario points in parallel, preserving order.
-/// Results are independent of worker count and scheduling because every
-/// benchmark seeds its noise from its config alone.
-pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<PointResult> {
-    parallel_sweep(scenarios.to_vec(), run_scenario)
-}
-
-/// Expands and executes a deck in parallel.
-pub fn run_deck(deck: &Deck) -> DeckResult {
-    DeckResult {
-        name: deck.name.clone(),
-        title: deck.title.clone(),
-        points: run_scenarios(&deck.expand()),
-        metrics: None,
+    let metrics = (meter != Meter::Off).then(|| {
+        let rec = rec.as_ref().expect("a metered point runs traced");
+        let mut metrics = collect_point_metrics(&workload, &outcome, rec, nodes, ppn);
+        metrics.wall_clock_seconds = start.elapsed().as_secs_f64();
+        metrics.resilience = resilience;
+        if let Some(open) = open {
+            metrics.latency = open_loop_latency(&workload, &open);
+            metrics.provenance = open.provenance;
+        }
+        metrics
+    });
+    if let (Some(shared), Some(rec)) = (recorder, &rec) {
+        shared.absorb_recorder(rec);
+    }
+    PointResult {
+        scenario: scenario.clone(),
+        system: system.name().to_string(),
+        nodes,
+        ppn,
+        outcome,
+        metrics,
     }
 }
 
-/// [`run_deck`] with observability: every point runs metered (in
-/// parallel, preserving order) and the deck gains its
-/// [`DeckMetricsSummary`]. Outcomes are bit-identical to [`run_deck`]'s.
-pub fn run_deck_with_metrics(deck: &Deck) -> DeckResult {
+/// [`run_scenario`] with [`Meter::Metrics`] and no trace. Kept for the
+/// host-time benchmark (`hostbench/`), which calls it by name.
+pub fn run_scenario_metered(scenario: &Scenario) -> PointResult {
+    run_scenario(scenario, None, Meter::Metrics)
+}
+
+/// Expands and executes a deck, every point through [`run_scenario`].
+///
+/// Untraced points run in parallel, preserving order; results are
+/// independent of worker count and scheduling because every benchmark
+/// seeds its noise from its config alone. With a `recorder` the points
+/// run serially and stack onto it in expansion order, so the trace is
+/// one coherent timeline. Any `meter` but [`Meter::Off`] adds the
+/// deck's [`DeckMetricsSummary`].
+pub fn run_deck(deck: &Deck, recorder: Option<&mut Recorder>, meter: Meter) -> DeckResult {
+    let points = match recorder {
+        Some(shared) => deck
+            .expand()
+            .iter()
+            .map(|s| run_scenario(s, Some(&mut *shared), meter))
+            .collect(),
+        None => parallel_sweep(deck.expand(), |s| run_scenario(s, None, meter)),
+    };
     let mut result = DeckResult {
         name: deck.name.clone(),
         title: deck.title.clone(),
-        points: parallel_sweep(deck.expand(), run_scenario_metered),
+        points,
         metrics: None,
     };
-    result.metrics = deck_metrics_summary(&result);
+    if meter != Meter::Off {
+        result.metrics = deck_metrics_summary(&result);
+    }
     result
 }
 
-/// [`run_deck_with_metrics`] with latency provenance: every open-loop
-/// point additionally runs the per-op blame probe, so its
-/// [`PointMetrics`] carries a `provenance` record, knee verdicts gain
-/// `knee_blame`, and `hcs report` renders the **Tail forensics**
-/// section. The probe is a pure listener — outcomes stay bit-identical
-/// to [`run_deck_with_metrics`]'s. Call [`validate_provenance`] first:
-/// the probe rides the open-loop IOR phase runner only.
+/// [`run_deck`] with [`Meter::Metrics`] and no trace. Kept for the
+/// host-time benchmark (`hostbench/`), which calls it by name.
+pub fn run_deck_with_metrics(deck: &Deck) -> DeckResult {
+    run_deck(deck, None, Meter::Metrics)
+}
+
+/// [`run_deck`] with [`Meter::Provenance`] and no trace. Kept for the
+/// host-time benchmark (`hostbench/`), which calls it by name.
 pub fn run_deck_with_provenance(deck: &Deck) -> DeckResult {
-    let mut result = DeckResult {
-        name: deck.name.clone(),
-        title: deck.title.clone(),
-        points: parallel_sweep(deck.expand(), |s| run_scenario_metered_impl(s, true).0),
-        metrics: None,
-    };
-    result.metrics = deck_metrics_summary(&result);
-    result
+    run_deck(deck, None, Meter::Provenance)
 }
 
 /// Checks that every point of a deck can carry the latency-provenance
@@ -669,7 +584,9 @@ pub fn validate_provenance(deck: &Deck) -> Result<(), String> {
         }
         if scenario.arrival.is_closed() {
             return Err(format!(
-                "scenario '{}': latency provenance needs open-loop arrivals (per-op latency                  exists only under an arrival process); give the base an open arrival spec or                  sweep offered_load",
+                "scenario '{}': latency provenance needs open-loop arrivals (per-op latency \
+                 exists only under an arrival process); give the base an open arrival spec or \
+                 sweep offered_load",
                 scenario.name
             ));
         }
@@ -677,74 +594,24 @@ pub fn validate_provenance(deck: &Deck) -> Result<(), String> {
     Ok(())
 }
 
-/// Expands and executes a deck sequentially, feeding every point's
-/// telemetry into `recorder` (tracing shares one recorder clock, so the
-/// traced path trades parallelism for a coherent timeline).
-pub fn run_deck_traced(deck: &Deck, recorder: &mut Recorder) -> DeckResult {
-    DeckResult {
-        name: deck.name.clone(),
-        title: deck.title.clone(),
-        points: deck
-            .expand()
-            .iter()
-            .map(|s| run_scenario_traced(s, recorder))
-            .collect(),
-        metrics: None,
-    }
-}
-
-/// [`run_deck_traced`] with observability: each point runs into its own
-/// recorder (so per-point metrics see only their run), then the private
-/// recorders are stacked onto `recorder` in order — the resulting
-/// Chrome trace is bit-identical to [`run_deck_traced`]'s.
-pub fn run_deck_traced_with_metrics(deck: &Deck, recorder: &mut Recorder) -> DeckResult {
-    let mut result = DeckResult {
-        name: deck.name.clone(),
-        title: deck.title.clone(),
-        points: deck
-            .expand()
-            .iter()
-            .map(|s| {
-                let (point, rec) = run_scenario_metered_impl(s, false);
-                recorder.absorb_recorder(&rec);
-                point
-            })
-            .collect(),
-        metrics: None,
-    };
-    result.metrics = deck_metrics_summary(&result);
-    result
-}
-
-/// [`run_deck_traced_with_metrics`] with latency provenance: points
-/// also run the blame probe, and each op's blame windows land in the
-/// shared Chrome trace as annotation spans (pid
-/// [`hcs_core::telemetry::PROVENANCE_PID`]) alongside the PR-2 flow
-/// lanes.
-pub fn run_deck_traced_with_provenance(deck: &Deck, recorder: &mut Recorder) -> DeckResult {
-    let mut result = DeckResult {
-        name: deck.name.clone(),
-        title: deck.title.clone(),
-        points: deck
-            .expand()
-            .iter()
-            .map(|s| {
-                let (point, rec) = run_scenario_metered_impl(s, true);
-                recorder.absorb_recorder(&rec);
-                point
-            })
-            .collect(),
-        metrics: None,
-    };
-    result.metrics = deck_metrics_summary(&result);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hcs_core::scenario::{GraphEdit, IorConfig, MdtestConfig, WorkloadClass};
+    use hcs_core::Arrival;
     use hcs_core::StageKind;
+
+    fn plain(deck: &Deck) -> DeckResult {
+        run_deck(deck, None, Meter::Off)
+    }
+
+    fn metered_run(deck: &Deck) -> DeckResult {
+        run_deck(deck, None, Meter::Metrics)
+    }
+
+    fn point(scenario: &Scenario) -> PointResult {
+        run_scenario(scenario, None, Meter::Off)
+    }
 
     fn smoke_scenario(system: &str) -> Scenario {
         Scenario::new(
@@ -755,7 +622,7 @@ mod tests {
 
     #[test]
     fn scenario_matches_direct_run() {
-        let point = run_scenario(&smoke_scenario("gpfs"));
+        let point = point(&smoke_scenario("gpfs"));
         let direct = run_ior(
             &hcs_gpfs::GpfsConfig::on_lassen(),
             &IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4),
@@ -768,7 +635,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown system 'betafs'")]
     fn unknown_system_is_rejected_with_catalog() {
-        run_scenario(&smoke_scenario("betafs"));
+        point(&smoke_scenario("betafs"));
     }
 
     #[test]
@@ -778,8 +645,8 @@ mod tests {
             kind: StageKind::Gateway,
             factor: 8.0,
         }];
-        let base = run_scenario(&smoke_scenario("vast-lassen"));
-        let wide = run_scenario(&fat);
+        let base = point(&smoke_scenario("vast-lassen"));
+        let wide = point(&fat);
         // 4 ranks on one node can't saturate the gateway; push the scale.
         let mut base_big = smoke_scenario("vast-lassen");
         base_big.nodes = Some(32);
@@ -787,8 +654,8 @@ mod tests {
         let mut wide_big = fat.clone();
         wide_big.nodes = Some(32);
         wide_big.full_node = true;
-        let b = run_scenario(&base_big);
-        let w = run_scenario(&wide_big);
+        let b = point(&base_big);
+        let w = point(&wide_big);
         // The x8 gateway lifts the ceiling until the next stage binds
         // (~1.4x on this deployment).
         assert!(
@@ -808,7 +675,7 @@ mod tests {
         let mut deck = Deck::single("t", smoke_scenario("vast-lassen"));
         deck.axes.systems = vec!["vast-lassen".into(), "gpfs".into()];
         deck.axes.nodes = vec![1, 2];
-        let result = run_deck(&deck);
+        let result = plain(&deck);
         assert_eq!(result.points.len(), 4);
         let groups = result.by_system();
         assert_eq!(groups.len(), 2);
@@ -825,7 +692,7 @@ mod tests {
             Scenario::new("gpfs", Workload::Mdtest(MdtestConfig::new(1, 4))),
         );
         deck.base.reps = Some(2);
-        let result = run_deck(&deck);
+        let result = plain(&deck);
         let back: DeckResult =
             serde_json::from_str(&serde_json::to_string(&result).unwrap()).unwrap();
         assert_eq!(back, result);
@@ -836,8 +703,8 @@ mod tests {
     fn metered_deck_matches_plain_outcomes() {
         let mut deck = Deck::single("t", smoke_scenario("vast-lassen"));
         deck.axes.nodes = vec![1, 2];
-        let plain = run_deck(&deck);
-        let metered = run_deck_with_metrics(&deck);
+        let plain = plain(&deck);
+        let metered = metered_run(&deck);
         assert_eq!(plain.points.len(), metered.points.len());
         for (p, m) in plain.points.iter().zip(&metered.points) {
             assert_eq!(p.outcome, m.outcome, "metering must not perturb outcomes");
@@ -858,11 +725,28 @@ mod tests {
     }
 
     #[test]
+    fn saturated_points_cite_a_stage() {
+        let mut deck = Deck::single("sat", smoke_scenario("vast-lassen"));
+        deck.axes.nodes = vec![1, 64];
+        deck.base.full_node = true;
+        let mut rec = Recorder::new();
+        let sat = run_deck(&deck, Some(&mut rec), Meter::Metrics);
+        assert_eq!(sat.points.len(), 2);
+        assert_eq!(sat.points[1].nodes, 64);
+        // At 64 full nodes the TCP VAST deployment is far past its
+        // saturation point: the dominant bottleneck names its stage.
+        let shares = &sat.points[1].metrics.as_ref().unwrap().bottlenecks;
+        let dominant = shares.iter().max_by(|a, b| a.seconds.total_cmp(&b.seconds));
+        assert!(dominant.and_then(|b| b.kind).is_some(), "{shares:?}");
+        assert!(rec.to_chrome_json().contains("\"resource\""));
+    }
+
+    #[test]
     fn traced_deck_matches_untraced_results() {
         let deck = Deck::single("t", smoke_scenario("lustre-ruby"));
-        let plain = run_deck(&deck);
+        let plain = plain(&deck);
         let mut rec = Recorder::new();
-        let traced = run_deck_traced(&deck, &mut rec);
+        let traced = run_deck(&deck, Some(&mut rec), Meter::Off);
         assert_eq!(plain, traced);
         assert!(!rec.to_chrome_json().is_empty());
     }
@@ -875,7 +759,7 @@ mod tests {
     fn faulted_deck_completes_and_carries_resilience() {
         let mut deck = Deck::single("fault-t", smoke_scenario("vast-lassen"));
         deck.axes.fault_sets = vec![Vec::new(), vec![gateway_outage(0.05, 0.15)]];
-        let result = run_deck_with_metrics(&deck);
+        let result = metered_run(&deck);
         assert_eq!(result.points.len(), 2);
         let free = &result.points[0];
         let faulted = &result.points[1];
@@ -900,7 +784,7 @@ mod tests {
     fn fault_free_artifacts_never_mention_fault_fields() {
         let mut deck = Deck::single("t", smoke_scenario("vast-lassen"));
         deck.axes.nodes = vec![1, 2];
-        let json = serde_json::to_string(&run_deck_with_metrics(&deck)).unwrap();
+        let json = serde_json::to_string(&metered_run(&deck)).unwrap();
         assert!(!json.contains("\"resilience\""), "byte-compat broken");
         assert!(!json.contains("\"faults\""), "byte-compat broken");
         // Closed-loop runs must not mention the open-loop fields either.
@@ -923,7 +807,7 @@ mod tests {
         let mut deck = Deck::single("sat", open_scenario("vast-lassen", 1.0));
         deck.axes.offered_load = vec![50.0, 2000.0];
         assert_eq!(validate_deck(&deck), Ok(()));
-        let result = run_deck_with_metrics(&deck);
+        let result = metered_run(&deck);
         assert_eq!(result.points.len(), 2);
         let p99s: Vec<f64> = result
             .points
@@ -945,7 +829,7 @@ mod tests {
         assert_eq!(summary.knees[0].system, "VAST");
         assert_eq!(summary.knees[0].baseline_rate, 50.0);
         // A metered open-loop run reproduces the un-metered outcome.
-        let plain = run_deck(&deck);
+        let plain = plain(&deck);
         for (p, m) in plain.points.iter().zip(&result.points) {
             assert_eq!(p.outcome, m.outcome, "metering must not perturb outcomes");
         }
@@ -957,7 +841,7 @@ mod tests {
         let mut stormy = Deck::single("stormy", open_scenario("vast-lassen", 200.0));
         stormy.base.faults = vec![gateway_outage(0.1, 0.25)];
         assert_eq!(validate_deck(&stormy), Ok(()));
-        let calm_p99 = run_deck_with_metrics(&calm).points[0]
+        let calm_p99 = metered_run(&calm).points[0]
             .metrics
             .as_ref()
             .unwrap()
@@ -965,7 +849,7 @@ mod tests {
             .histogram
             .p99()
             .unwrap();
-        let stormy_p99 = run_deck_with_metrics(&stormy).points[0]
+        let stormy_p99 = metered_run(&stormy).points[0]
             .metrics
             .as_ref()
             .unwrap()
@@ -984,7 +868,7 @@ mod tests {
         let mut deck = Deck::single("sat", open_scenario("vast-lassen", 1.0));
         deck.axes.offered_load = vec![50.0, 2000.0];
         assert_eq!(validate_provenance(&deck), Ok(()));
-        let result = run_deck_with_provenance(&deck);
+        let result = run_deck(&deck, None, Meter::Provenance);
         for p in &result.points {
             let m = p.metrics.as_ref().expect("provenance deck is metered");
             let prov = m.provenance.as_ref().expect("provenance deck decomposes");
@@ -1012,7 +896,7 @@ mod tests {
             "a provenance-backed knee names the stage whose blame grew"
         );
         // The probe is a pure listener: outcomes match the plain run.
-        let plain = run_deck(&deck);
+        let plain = plain(&deck);
         for (p, m) in plain.points.iter().zip(&result.points) {
             assert_eq!(p.outcome, m.outcome, "provenance must not perturb outcomes");
         }
@@ -1097,9 +981,9 @@ mod tests {
     fn traced_faulted_deck_matches_untraced() {
         let mut deck = Deck::single("fault-t", smoke_scenario("vast-lassen"));
         deck.base.faults = vec![gateway_outage(0.05, 0.15)];
-        let plain = run_deck(&deck);
+        let plain = plain(&deck);
         let mut rec = Recorder::new();
-        let traced = run_deck_traced(&deck, &mut rec);
+        let traced = run_deck(&deck, Some(&mut rec), Meter::Off);
         assert_eq!(plain, traced);
         assert!(rec.to_chrome_json().contains("faulted"));
     }

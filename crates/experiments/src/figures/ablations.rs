@@ -23,7 +23,7 @@ use hcs_mdtest::MetaOp;
 use hcs_simkit::units::gbit_per_s;
 use hcs_vast::{vast_on_lassen, vast_on_wombat};
 
-use crate::deck::{run_deck, run_workload_on};
+use crate::deck::{run_deck, run_workload_on, Meter};
 use crate::series::{Figure, Point, Series};
 use crate::sweep::{parallel_sweep, Scale};
 
@@ -63,7 +63,7 @@ pub fn gateway_width_deck(scale: Scale) -> Deck {
 /// Gateway-uplink width sweep on Lassen: how much aggregate VAST
 /// bandwidth would wider gateway Ethernet buy at 64 nodes?
 pub fn gateway_width_sweep(scale: Scale) -> Figure {
-    let result = run_deck(&gateway_width_deck(scale));
+    let result = run_deck(&gateway_width_deck(scale), None, Meter::Off);
     let mut fig = Figure::new(
         result.name.clone(),
         result.title.clone(),
@@ -114,7 +114,7 @@ pub fn nconnect_deck(scale: Scale) -> Deck {
 /// `nconnect` sweep on Wombat: per-node read bandwidth vs connection
 /// count (the knob behind the 8× takeaway).
 pub fn nconnect_sweep(scale: Scale) -> Figure {
-    let result = run_deck(&nconnect_deck(scale));
+    let result = run_deck(&nconnect_deck(scale), None, Meter::Off);
     let mut fig = Figure::new(
         result.name.clone(),
         result.title.clone(),
@@ -252,7 +252,7 @@ pub fn burst_buffer_deck(scale: Scale) -> Deck {
 /// Burst-buffer study — the question the paper's intro raises by naming
 /// UnifyFS as the other configurable storage system.
 pub fn burst_buffer_checkpoint(scale: Scale) -> Figure {
-    let result = run_deck(&burst_buffer_deck(scale));
+    let result = run_deck(&burst_buffer_deck(scale), None, Meter::Off);
     let mut fig = Figure::new(
         result.name.clone(),
         result.title.clone(),
@@ -288,7 +288,7 @@ pub fn metadata_deck() -> Deck {
 /// Metadata rates (MDTest-equivalent) across the deployments.
 pub fn metadata_rates(scale: Scale) -> Figure {
     let _ = scale;
-    let result = run_deck(&metadata_deck());
+    let result = run_deck(&metadata_deck(), None, Meter::Off);
     let mut fig = Figure::new(
         result.name.clone(),
         result.title.clone(),

@@ -11,7 +11,7 @@
 use hcs_core::scenario::{IorConfig, Scenario, Workload, WorkloadClass};
 use hcs_core::Deck;
 
-use crate::deck::run_deck;
+use crate::deck::{run_deck, Meter};
 use crate::series::{Figure, Point, Series};
 use crate::sweep::Scale;
 
@@ -44,7 +44,7 @@ pub fn deck() -> Deck {
 /// deployment.
 pub fn generate(scale: Scale) -> Figure {
     let _ = scale;
-    let result = run_deck(&deck());
+    let result = run_deck(&deck(), None, Meter::Off);
     let mut fig = Figure::new(
         result.name.clone(),
         result.title.clone(),

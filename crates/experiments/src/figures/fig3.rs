@@ -10,7 +10,7 @@
 use hcs_core::scenario::{IorConfig, Scenario, Workload, WorkloadClass};
 use hcs_core::Deck;
 
-use crate::deck::run_deck;
+use crate::deck::{run_deck, Meter};
 use crate::figures::{ior_bandwidth_figure, workload_tag};
 use crate::series::Figure;
 use crate::sweep::Scale;
@@ -85,9 +85,12 @@ pub fn generate(scale: Scale) -> Vec<Figure> {
     decks(scale)
         .iter()
         .map(|d| {
-            ior_bandwidth_figure(&run_deck(d), "processes", "bandwidth (GB/s)", |p| {
-                p.ppn as f64
-            })
+            ior_bandwidth_figure(
+                &run_deck(d, None, Meter::Off),
+                "processes",
+                "bandwidth (GB/s)",
+                |p| p.ppn as f64,
+            )
         })
         .collect()
 }

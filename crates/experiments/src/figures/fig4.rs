@@ -9,7 +9,7 @@ use hcs_core::scenario::{DlioConfig, Scenario, Workload};
 use hcs_core::Deck;
 use hcs_dlio::{cosmoflow, resnet50};
 
-use crate::deck::{run_deck, DeckResult};
+use crate::deck::{run_deck, DeckResult, Meter};
 use crate::series::{Figure, Point, Series};
 use crate::sweep::Scale;
 
@@ -82,7 +82,7 @@ fn io_time_figure(result: &DeckResult) -> Figure {
 pub fn generate(scale: Scale) -> Vec<Figure> {
     decks(scale)
         .iter()
-        .map(|d| io_time_figure(&run_deck(d)))
+        .map(|d| io_time_figure(&run_deck(d, None, Meter::Off)))
         .collect()
 }
 

@@ -9,7 +9,7 @@
 use hcs_core::Deck;
 use hcs_dlio::resnet50;
 
-use crate::deck::{run_deck, DeckResult};
+use crate::deck::{run_deck, DeckResult, Meter};
 use crate::figures::fig4::{apply_scale, dlio_deck};
 use crate::series::{Figure, Point, Series};
 use crate::sweep::Scale;
@@ -66,7 +66,7 @@ pub(crate) fn throughput_figures(result: &DeckResult, id_app: &str, id_sys: &str
 
 /// Generates Fig 5a and Fig 5b.
 pub fn generate(scale: Scale) -> Vec<Figure> {
-    throughput_figures(&run_deck(&deck(scale)), "fig5a", "fig5b")
+    throughput_figures(&run_deck(&deck(scale), None, Meter::Off), "fig5a", "fig5b")
 }
 
 #[cfg(test)]

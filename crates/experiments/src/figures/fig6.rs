@@ -7,7 +7,7 @@
 use hcs_core::Deck;
 use hcs_dlio::cosmoflow;
 
-use crate::deck::run_deck;
+use crate::deck::{run_deck, Meter};
 use crate::figures::fig4::{apply_scale, dlio_deck};
 use crate::figures::fig5::throughput_figures;
 use crate::series::Figure;
@@ -26,7 +26,7 @@ pub fn deck(scale: Scale) -> Deck {
 
 /// Generates Fig 6a and Fig 6b.
 pub fn generate(scale: Scale) -> Vec<Figure> {
-    throughput_figures(&run_deck(&deck(scale)), "fig6a", "fig6b")
+    throughput_figures(&run_deck(&deck(scale), None, Meter::Off), "fig6a", "fig6b")
 }
 
 #[cfg(test)]

@@ -33,16 +33,13 @@ pub mod series;
 pub mod shapes;
 pub mod svg;
 pub mod sweep;
-pub mod traced;
 
 pub use chaos::run_chaos_campaign;
 pub use deck::{
-    run_deck, run_deck_traced, run_deck_traced_with_metrics, run_deck_traced_with_provenance,
-    run_deck_with_metrics, run_deck_with_provenance, run_scenario_metered, validate_deck,
-    validate_provenance, DeckResult, PointResult, WorkloadOutcome,
+    run_deck, run_deck_with_metrics, run_deck_with_provenance, run_scenario, run_scenario_metered,
+    validate_deck, validate_provenance, DeckResult, Meter, PointResult, WorkloadOutcome,
 };
 pub use metrics::deck_metrics_summary;
 pub use report::{render_chaos_markdown, render_markdown, to_report_json, ReportJson};
 pub use series::{Figure, Point, Series};
 pub use sweep::Scale;
-pub use traced::{traced_ior_sweep, TracedPoint, TracedSweep};

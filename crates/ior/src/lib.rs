@@ -29,7 +29,4 @@ pub mod runner;
 
 pub use apps::all_apps;
 pub use config::{IorConfig, WorkloadClass};
-pub use runner::{
-    run_ior, run_ior_faulted, run_ior_faulted_traced, run_ior_full, run_ior_open_loop,
-    run_ior_open_loop_observed, run_ior_open_loop_traced, run_ior_traced, IorFullReport, IorReport,
-};
+pub use runner::{run_ior, run_ior_with, IorReport, IorRun, IorRunOutput};

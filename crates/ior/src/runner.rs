@@ -4,10 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use hcs_core::metrics::ResilienceMetrics;
 use hcs_core::outcome::RepeatedOutcome;
-use hcs_core::runner::{
-    run_phase_open_loop, run_phase_repeated, run_phase_repeated_faulted,
-    run_phase_repeated_faulted_traced, run_phase_repeated_traced, FaultPhaseError, OpenLoopOutcome,
-};
+use hcs_core::runner::{run_phase_open_loop, run_phase_repeated, FaultPhaseError, OpenLoopOutcome};
 use hcs_core::scenario::{Arrival, FaultSpec};
 use hcs_core::telemetry::Recorder;
 use hcs_core::StorageSystem;
@@ -39,6 +36,35 @@ impl IorReport {
     }
 }
 
+/// How [`run_ior_with`] drives the measured phase. The default is
+/// [`run_ior`]'s run: closed loop, fault-free, unobserved.
+#[derive(Default)]
+pub struct IorRun<'a> {
+    /// Closed loop (ranks re-issue on completion) or an open-loop
+    /// arrival process.
+    pub arrival: Arrival,
+    /// Windowed faults, resolved into timed capacity events against the
+    /// planned graph.
+    pub faults: &'a [FaultSpec],
+    /// Receives the measured phase's flows and resource utilization,
+    /// labeled by system, op and scale.
+    pub recorder: Option<&'a mut Recorder>,
+    /// Attaches the per-op latency-blame probe to an open-loop run.
+    pub provenance: bool,
+}
+
+/// What [`run_ior_with`] measured.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IorRunOutput {
+    /// The report IOR would print.
+    pub report: IorReport,
+    /// Slowdown and stall accounting against the fault-free twin, for a
+    /// faulted closed-loop run.
+    pub resilience: Option<ResilienceMetrics>,
+    /// Latency histogram and drive accounting, for an open-loop run.
+    pub open_loop: Option<OpenLoopOutcome>,
+}
+
 /// Runs an IOR configuration against a storage system.
 ///
 /// Mirrors IOR's measurement discipline: the measured phase is the one
@@ -53,238 +79,81 @@ impl IorReport {
 /// with larger `noise_sigma` always measures a larger coefficient of
 /// variation instead of depending on the luck of independent streams.
 pub fn run_ior(system: &dyn StorageSystem, config: &IorConfig) -> IorReport {
+    run_ior_with(system, config, IorRun::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .report
+}
+
+/// [`run_ior`] driven as `run` asks; every simulated value is
+/// bit-identical whether or not a recorder or the provenance probe is
+/// attached.
+///
+/// * **Faults.** The measured phase runs with the windowed faults
+///   resolved into timed capacity events. A closed-loop run is paired
+///   with [`ResilienceMetrics`] against the fault-free twin; the noise
+///   stream is consumed exactly as in [`run_ior`] (common random
+///   numbers), applied to the faulted base.
+/// * **Open loop.** Operations of the config's transfer size arrive at
+///   the spec's seeded rate instead of every rank re-issuing on
+///   completion (see [`run_phase_open_loop`]). The report's single
+///   "repetition" is the achieved throughput over the drained window:
+///   repetitions and run-to-run noise do not apply to an open-loop
+///   latency measurement, whose cross-run story is the histogram
+///   itself. Faults compose with the arrivals in the same drive.
+pub fn run_ior_with(
+    system: &dyn StorageSystem,
+    config: &IorConfig,
+    run: IorRun<'_>,
+) -> Result<IorRunOutput, FaultPhaseError> {
     config.validate();
     let phase = config.phase();
-    let mut rng = SimRng::new(config.seed).split("ior-reps");
-    let outcome = run_phase_repeated(
-        system,
-        config.nodes,
-        config.tasks_per_node,
-        &phase,
-        config.reps,
-        &mut rng,
-    );
-    IorReport {
+    let (nodes, ppn) = (config.nodes, config.tasks_per_node);
+    let mut label = format!("{} {:?} {}x{}", system.name(), phase.op, nodes, ppn);
+    let report = |outcome| IorReport {
         system: system.description(),
         config: config.clone(),
         outcome,
-    }
-}
-
-/// [`run_ior`] with telemetry: the measured phase's flows and resource
-/// utilization land in `recorder` (labeled by system, op and scale).
-/// The report is bit-identical to [`run_ior`]'s — same rng stream,
-/// same noise-free base run.
-pub fn run_ior_traced(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    recorder: &mut Recorder,
-) -> IorReport {
-    config.validate();
-    let phase = config.phase();
-    let mut rng = SimRng::new(config.seed).split("ior-reps");
-    let outcome = run_phase_repeated_traced(
-        system,
-        config.nodes,
-        config.tasks_per_node,
-        &phase,
-        config.reps,
-        &mut rng,
-        recorder,
-    );
-    IorReport {
-        system: system.description(),
-        config: config.clone(),
-        outcome,
-    }
-}
-
-/// [`run_ior`] under a fault schedule: the measured phase runs with the
-/// scenario's windowed faults resolved into timed capacity events, and
-/// the report is paired with [`ResilienceMetrics`] against the
-/// fault-free twin. The noise stream is consumed exactly as in
-/// [`run_ior`] (common random numbers), applied to the faulted base.
-pub fn run_ior_faulted(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    faults: &[FaultSpec],
-) -> Result<(IorReport, ResilienceMetrics), FaultPhaseError> {
-    config.validate();
-    let phase = config.phase();
-    let mut rng = SimRng::new(config.seed).split("ior-reps");
-    let (outcome, resilience) = run_phase_repeated_faulted(
-        system,
-        config.nodes,
-        config.tasks_per_node,
-        &phase,
-        faults,
-        config.reps,
-        &mut rng,
-    )?;
-    Ok((
-        IorReport {
-            system: system.description(),
-            config: config.clone(),
-            outcome,
-        },
-        resilience,
-    ))
-}
-
-/// [`run_ior_faulted`] with telemetry: the faulted base run (and its
-/// stall window) lands in `recorder`; the fault-free twin is not
-/// traced.
-pub fn run_ior_faulted_traced(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    faults: &[FaultSpec],
-    recorder: &mut Recorder,
-) -> Result<(IorReport, ResilienceMetrics), FaultPhaseError> {
-    config.validate();
-    let phase = config.phase();
-    let label = format!(
-        "{} {:?} {}x{} (faulted)",
-        system.name(),
-        phase.op,
-        config.nodes,
-        config.tasks_per_node
-    );
-    let mut rng = SimRng::new(config.seed).split("ior-reps");
-    let (outcome, resilience) = run_phase_repeated_faulted_traced(
-        &label,
-        system,
-        config.nodes,
-        config.tasks_per_node,
-        &phase,
-        faults,
-        config.reps,
-        &mut rng,
-        recorder,
-    )?;
-    Ok((
-        IorReport {
-            system: system.description(),
-            config: config.clone(),
-            outcome,
-        },
-        resilience,
-    ))
-}
-
-/// Runs the configuration's measured phase open loop: operations of
-/// the config's transfer size arrive at the spec's seeded rate instead
-/// of every rank re-issuing on completion (see
-/// [`run_phase_open_loop`]). The report's single "repetition" is the
-/// achieved throughput over the drained window — repetitions and
-/// run-to-run noise do not apply to an open-loop latency measurement,
-/// whose cross-run story is the histogram itself. Faults compose: the
-/// schedule resolves against the same planned graph as in
-/// [`run_ior_faulted`].
-pub fn run_ior_open_loop(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    arrival: &Arrival,
-    faults: &[FaultSpec],
-) -> Result<(IorReport, OpenLoopOutcome), FaultPhaseError> {
-    run_ior_open_loop_impl(system, config, arrival, faults, None, false)
-}
-
-/// [`run_ior_open_loop`] with the latency-provenance probe attached:
-/// the outcome's [`OpenLoopOutcome::provenance`] carries per-resource
-/// blame attribution for every completed op. The probe is a pure
-/// listener, so every other field is bit-identical to
-/// [`run_ior_open_loop`]'s.
-pub fn run_ior_open_loop_observed(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    arrival: &Arrival,
-    faults: &[FaultSpec],
-    recorder: Option<&mut Recorder>,
-) -> Result<(IorReport, OpenLoopOutcome), FaultPhaseError> {
-    run_ior_open_loop_impl(system, config, arrival, faults, recorder, true)
-}
-
-/// [`run_ior_open_loop`] with telemetry: the run's flows and resource
-/// utilization land in `recorder` (labeled by system, op and scale).
-pub fn run_ior_open_loop_traced(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    arrival: &Arrival,
-    faults: &[FaultSpec],
-    recorder: &mut Recorder,
-) -> Result<(IorReport, OpenLoopOutcome), FaultPhaseError> {
-    run_ior_open_loop_impl(system, config, arrival, faults, Some(recorder), false)
-}
-
-fn run_ior_open_loop_impl(
-    system: &dyn StorageSystem,
-    config: &IorConfig,
-    arrival: &Arrival,
-    faults: &[FaultSpec],
-    recorder: Option<&mut Recorder>,
-    provenance: bool,
-) -> Result<(IorReport, OpenLoopOutcome), FaultPhaseError> {
-    config.validate();
-    let phase = config.phase();
-    let label = format!(
-        "{} {:?} {}x{} (open loop)",
-        system.name(),
-        phase.op,
-        config.nodes,
-        config.tasks_per_node
-    );
-    let telemetry = recorder.map(|r| (r, label.as_str()));
-    let open = run_phase_open_loop(
-        system,
-        config.nodes,
-        config.tasks_per_node,
-        &phase,
-        arrival,
-        faults,
-        telemetry,
-        provenance,
-    )?;
-    let outcome = RepeatedOutcome::from_bandwidths(
-        config.nodes,
-        config.tasks_per_node,
-        vec![open.agg_bandwidth],
-    );
-    Ok((
-        IorReport {
-            system: system.description(),
-            config: config.clone(),
-            outcome,
-        },
-        open,
-    ))
-}
-
-/// A full IOR job: write the dataset, then read it back — what IOR
-/// actually does when both `-w` and `-r` are given. The read phase
-/// keeps the workload class's access pattern; the write phase is always
-/// sequential (IOR lays data out in order regardless of how it will be
-/// read back).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IorFullReport {
-    /// The write-phase report.
-    pub write: IorReport,
-    /// The read-phase report.
-    pub read: IorReport,
-}
-
-/// Runs both phases of an IOR job.
-pub fn run_ior_full(system: &dyn StorageSystem, config: &IorConfig) -> IorFullReport {
-    use crate::config::WorkloadClass;
-    let mut wcfg = config.clone();
-    wcfg.workload = WorkloadClass::Scientific; // the laydown is sequential writes
-    let mut rcfg = config.clone();
-    if rcfg.workload == WorkloadClass::Scientific {
-        // A pure-write class reads back sequentially.
-        rcfg.workload = WorkloadClass::DataAnalytics;
-    }
-    IorFullReport {
-        write: run_ior(system, &wcfg),
-        read: run_ior(system, &rcfg),
+    };
+    if run.arrival.is_closed() {
+        if !run.faults.is_empty() {
+            label.push_str(" (faulted)");
+        }
+        let trace = run.recorder.map(|rec| (rec, label.as_str()));
+        let mut rng = SimRng::new(config.seed).split("ior-reps");
+        let (outcome, resilience) = run_phase_repeated(
+            system,
+            nodes,
+            ppn,
+            &phase,
+            run.faults,
+            config.reps,
+            &mut rng,
+            trace,
+        )?;
+        Ok(IorRunOutput {
+            report: report(outcome),
+            resilience,
+            open_loop: None,
+        })
+    } else {
+        label.push_str(" (open loop)");
+        let trace = run.recorder.map(|rec| (rec, label.as_str()));
+        let open = run_phase_open_loop(
+            system,
+            nodes,
+            ppn,
+            &phase,
+            &run.arrival,
+            run.faults,
+            trace,
+            run.provenance,
+        )?;
+        let outcome = RepeatedOutcome::from_bandwidths(nodes, ppn, vec![open.agg_bandwidth]);
+        Ok(IorRunOutput {
+            report: report(outcome),
+            resilience: None,
+            open_loop: Some(open),
+        })
     }
 }
 
@@ -370,34 +239,27 @@ mod tests {
             duration: 0.5,
             seed: 5,
         };
-        let (report, open) = run_ior_open_loop(&sys, &cfg, &arrival, &[]).unwrap();
+        let run = || {
+            let out = run_ior_with(
+                &sys,
+                &cfg,
+                IorRun {
+                    arrival,
+                    ..IorRun::default()
+                },
+            )
+            .unwrap();
+            assert!(out.resilience.is_none());
+            (out.report, out.open_loop.expect("open-loop run"))
+        };
+        let (report, open) = run();
         assert_eq!(report.outcome.bandwidths.len(), 1);
         assert_eq!(report.outcome.bandwidths[0], open.agg_bandwidth);
         assert!(open.histogram.count() > 0);
         assert!(open.histogram.p50().unwrap() > 0.0);
         // Deterministic: re-running reproduces the histogram bit for bit.
-        let (_, again) = run_ior_open_loop(&sys, &cfg, &arrival, &[]).unwrap();
+        let (_, again) = run();
         assert_eq!(open.histogram, again.histogram);
         assert_eq!(open.end.to_bits(), again.end.to_bits());
-    }
-
-    #[test]
-    fn full_job_runs_both_phases() {
-        let sys = GpfsConfig::on_lassen();
-        let cfg = IorConfig::smoke(WorkloadClass::MachineLearning, 2, 8);
-        let full = run_ior_full(&sys, &cfg);
-        // Writes are the sequential laydown; reads keep the random class.
-        assert_eq!(full.write.config.workload, WorkloadClass::Scientific);
-        assert_eq!(full.read.config.workload, WorkloadClass::MachineLearning);
-        assert!(full.write.mean_bandwidth() > 0.0);
-        assert!(full.read.mean_bandwidth() > 0.0);
-    }
-
-    #[test]
-    fn full_job_on_write_class_reads_sequentially() {
-        let sys = GpfsConfig::on_lassen();
-        let cfg = IorConfig::smoke(WorkloadClass::Scientific, 1, 4);
-        let full = run_ior_full(&sys, &cfg);
-        assert_eq!(full.read.config.workload, WorkloadClass::DataAnalytics);
     }
 }

@@ -9,9 +9,8 @@
 //! followed by a recovery (`factor = 1.0`) restores the resource
 //! exactly, and overlapping degradations never compound by accident.
 //!
-//! The timeline is consumed by
-//! [`FlowNet::run_with_faults`](crate::FlowNet::run_with_faults), which
-//! interleaves events with the analytic completion leap: a
+//! The timeline is consumed by [`FlowNet::drive`](crate::FlowNet::drive),
+//! which interleaves events with the analytic completion leap: a
 //! zero-capacity window no longer panics the engine — fully stalled
 //! flows simply wait for the next scheduled event, and the stalled
 //! interval is accounted in the returned [`FaultRunReport`]. Only a
@@ -58,8 +57,7 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// An empty timeline (drive loop degenerates to the fault-free
-    /// path).
+    /// An empty timeline: a fault-free drive.
     pub fn empty() -> Self {
         FaultTimeline { events: Vec::new() }
     }
@@ -130,8 +128,8 @@ impl fmt::Display for StallError {
 
 impl std::error::Error for StallError {}
 
-/// Outcome of a [`FlowNet::run_with_faults`](crate::FlowNet::run_with_faults)
-/// drive loop that ran to completion.
+/// Outcome of a [`FlowNet::drive`](crate::FlowNet::drive) run that
+/// reached completion.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultRunReport {
     /// Final simulated time (all flows complete).

@@ -206,7 +206,8 @@ impl FlowRecorder for TeeRecorder {
         capacity: &[f64],
     ) {
         self.first.on_epoch_rates(now, samples, allocated, capacity);
-        self.second.on_epoch_rates(now, samples, allocated, capacity);
+        self.second
+            .on_epoch_rates(now, samples, allocated, capacity);
     }
 }
 
@@ -531,7 +532,7 @@ impl FlowNet {
     /// The current capacity of every resource, in registration order
     /// (indexed by [`ResourceId::index`]); with `instances > 1` the
     /// value is per-instance. Fault-injection harnesses snapshot this
-    /// before and after [`FlowNet::run_with_faults`] to check that
+    /// before and after [`FlowNet::drive`] to check that
     /// recovery events restored every capacity to its provisioned value
     /// exactly — the terminal-rate evidence behind the chaos campaign's
     /// recovery invariant.
@@ -745,134 +746,27 @@ impl FlowNet {
     }
 
     /// Runs the network until every active flow completes, invoking
-    /// `on_complete` for each completion in order. Flows added inside the
+    /// `on_complete` for each completion in order — [`FlowNet::drive`]
+    /// with no arrivals and no capacity events. Flows added inside the
     /// callback are scheduled from the completion instant. Returns the
     /// final time.
     ///
     /// # Panics
     /// Panics if flows stall (every remaining flow has rate zero), which
-    /// indicates a zero-capacity resource on every path. Use
-    /// [`FlowNet::try_run_to_completion`] to receive the stall as a
-    /// typed [`StallError`] instead, or [`FlowNet::run_with_faults`]
-    /// when scheduled capacity events may lift the stall.
+    /// indicates a zero-capacity resource on every path. Call
+    /// [`FlowNet::drive`] to receive the stall as a typed [`StallError`]
+    /// instead.
     pub fn run_to_completion(&mut self, on_complete: impl FnMut(&mut FlowNet, Completion)) -> f64 {
-        self.try_run_to_completion(on_complete)
+        self.drive(Vec::new(), &FaultTimeline::empty(), on_complete)
             .unwrap_or_else(|e| panic!("{e}"))
+            .end
     }
 
-    /// Runs the network until every active flow completes, like
-    /// [`FlowNet::run_to_completion`], but reports a stall (every
-    /// remaining flow at rate zero) as a [`StallError`] naming the
-    /// starved resources instead of panicking.
-    pub fn try_run_to_completion(
-        &mut self,
-        mut on_complete: impl FnMut(&mut FlowNet, Completion),
-    ) -> Result<f64, StallError> {
-        while self.active_flow_count() > 0 {
-            let Some(t) = self.next_completion_time() else {
-                return Err(self.stall_error());
-            };
-            self.advance_to(t);
-            for c in self.take_completed() {
-                on_complete(self, c);
-            }
-        }
-        Ok(self.now)
-    }
-
-    /// Runs the network to completion while applying a [`FaultTimeline`]
-    /// of scheduled capacity events.
-    ///
-    /// Each event sets its resource's capacity to `base * factor`,
-    /// where `base` is the capacity at entry — factors scale the
-    /// original provisioned value, never the current one, so outage +
-    /// recovery round-trips exactly. Events and analytic completion
-    /// leaps are interleaved deterministically: whichever comes first
-    /// on the simulated clock is processed first (completions before
-    /// the event when they coincide). A window in which *every* active
-    /// flow is stalled at rate zero no longer panics: time leaps to the
-    /// next scheduled event and the stalled interval is accumulated
-    /// into [`FaultRunReport::stall_seconds`]. Only a stall with no
-    /// events left returns [`StallError`]. Events scheduled after the
-    /// last completion are not applied.
-    ///
-    /// With an empty timeline this is exactly
-    /// [`FlowNet::try_run_to_completion`] — bit-identical, as the
-    /// differential tests pin.
-    ///
-    /// # Panics
-    /// Panics if an event references an unknown resource or would set a
-    /// non-finite capacity.
-    pub fn run_with_faults(
-        &mut self,
-        timeline: &FaultTimeline,
-        mut on_complete: impl FnMut(&mut FlowNet, Completion),
-    ) -> Result<FaultRunReport, StallError> {
-        for e in timeline.events() {
-            assert!(
-                e.resource.index() < self.resources.len(),
-                "fault event references unknown resource {:?}",
-                e.resource
-            );
-        }
-        // Base capacities captured at entry: factors always scale
-        // these, so overlapping events never compound.
-        let base: Vec<f64> = self.resources.iter().map(|r| r.capacity).collect();
-        let mut pending = timeline.events().iter();
-        let mut next_event = pending.next();
-        let mut stall_seconds = 0.0;
-        let mut events_applied = 0usize;
-        let mut last_event_at = None;
-        while self.active_flow_count() > 0 {
-            let completion = self.next_completion_time();
-            match (completion, next_event) {
-                // The scheduled event fires before (or at) the next
-                // completion: advance to it and apply the change.
-                (Some(t), Some(e)) if e.at <= t => {
-                    let at = e.at.max(self.now);
-                    self.advance_to(at);
-                    for c in self.take_completed() {
-                        on_complete(self, c);
-                    }
-                    self.set_resource_capacity(e.resource, base[e.resource.index()] * e.factor);
-                    events_applied += self.resources[e.resource.index()].instances as usize;
-                    last_event_at = Some(at);
-                    next_event = pending.next();
-                }
-                // Normal analytic leap to the next completion.
-                (Some(t), _) => {
-                    self.advance_to(t);
-                    for c in self.take_completed() {
-                        on_complete(self, c);
-                    }
-                }
-                // Full stall, but an event is scheduled: wait for it.
-                (None, Some(e)) => {
-                    let at = e.at.max(self.now);
-                    stall_seconds += at - self.now;
-                    self.advance_to(at);
-                    self.set_resource_capacity(e.resource, base[e.resource.index()] * e.factor);
-                    events_applied += self.resources[e.resource.index()].instances as usize;
-                    last_event_at = Some(at);
-                    next_event = pending.next();
-                }
-                // Full stall with nothing scheduled: unrecoverable.
-                (None, None) => return Err(self.stall_error()),
-            }
-        }
-        Ok(FaultRunReport {
-            end: self.now,
-            stall_seconds,
-            events_applied,
-            last_event_at,
-        })
-    }
-
-    /// The open-loop drive loop: operations are *injected* at scheduled
-    /// absolute times instead of all being present at entry, while a
-    /// [`FaultTimeline`] of capacity events is applied exactly as in
-    /// [`FlowNet::run_with_faults`] — open-loop arrivals and fault
-    /// injection compose in one loop.
+    /// The drive loop: runs the network until every active flow has
+    /// completed and every arrival has been admitted and completed,
+    /// applying a [`FaultTimeline`] of capacity events along the way.
+    /// Closed loop is the case with no arrivals (every flow present at
+    /// entry); fault-free is the case with an empty timeline.
     ///
     /// `arrivals` is a list of `(time, spec)` pairs (sorted by time
     /// here, stably, so same-instant arrivals keep their given order).
@@ -880,24 +774,29 @@ impl FlowNet {
     /// instant; a spec without an explicit submit time gets the arrival
     /// instant as its [`FlowSpec::submitted_at`], so completions report
     /// submit→finish latency including any queueing behind earlier
-    /// operations or outage windows. Flows already active at entry are
-    /// driven alongside the injected ones.
+    /// operations or outage windows.
+    ///
+    /// Each capacity event sets its resource's capacity to
+    /// `base * factor`, where `base` is the capacity at entry — factors
+    /// scale the original provisioned value, never the current one, so
+    /// outage + recovery round-trips exactly.
     ///
     /// Interleaving is deterministic: time leaps to the earliest of
     /// (next completion, next capacity event, next arrival); completions
-    /// are drained first at a shared instant, then capacity events
-    /// apply, then arrivals are admitted. Trailing capacity events past
-    /// the last completion *and* last arrival are not applied (matching
-    /// [`FlowNet::run_with_faults`]). An interval in which every active
-    /// flow sits at rate zero counts toward
-    /// [`FaultRunReport::stall_seconds`]; idle gaps with *no* active
-    /// flow (waiting for the next arrival) do not. Only a stall with no
-    /// event or arrival left returns [`StallError`].
+    /// are drained first at a shared instant, then every capacity event
+    /// due by then applies as one batch (one re-solve), then arrivals
+    /// are admitted. Capacity events past the last completion *and* last
+    /// arrival are not applied. An interval in which every active flow
+    /// sits at rate zero counts toward [`FaultRunReport::stall_seconds`];
+    /// idle gaps with *no* active flow (waiting for the next arrival) do
+    /// not. Only a stall with no event or arrival left returns
+    /// [`StallError`].
     ///
     /// # Panics
     /// Panics if an arrival time is non-finite, before the current
-    /// time, or an event references an unknown resource.
-    pub fn run_open_loop(
+    /// time, or an event references an unknown resource or would set a
+    /// non-finite capacity.
+    pub fn drive(
         &mut self,
         mut arrivals: Vec<(f64, FlowSpec)>,
         timeline: &FaultTimeline,
@@ -1016,8 +915,9 @@ impl FlowNet {
                 // flow would get with the network to itself.
                 let mut demand = f.rate_cap.unwrap_or(f64::INFINITY);
                 for r in &f.path {
-                    demand = demand
-                        .min(self.resources[r.index()].capacity / self.share(f.multiplicity, r.index()));
+                    demand = demand.min(
+                        self.resources[r.index()].capacity / self.share(f.multiplicity, r.index()),
+                    );
                 }
                 samples.push(EpochFlowSample {
                     id: FlowId(*k),
@@ -1482,51 +1382,77 @@ mod tests {
         net.add_flow(FlowSpec::new(vec![r[0], r[1]], 100.0));
         net.advance_to(2.0);
         let err = net
-            .try_run_to_completion(|_, _| {})
+            .drive(Vec::new(), &FaultTimeline::empty(), |_, _| {})
             .expect_err("stalled network must error");
         assert_eq!(err.at, 2.0);
         assert_eq!(err.starved, vec!["r1".to_string()]);
         assert!(err.to_string().contains("r1"));
     }
 
+    /// Asserts a fault-free drive report: the given end time (as bits),
+    /// no stall, no event applied.
+    fn assert_healthy(report: &FaultRunReport, end: f64) {
+        assert_eq!(report.end.to_bits(), end.to_bits(), "end = {}", report.end);
+        assert_eq!(report.stall_seconds.to_bits(), 0.0f64.to_bits());
+        assert_eq!(report.events_applied, 0);
+        assert_eq!(report.last_event_at, None);
+    }
+
+    /// Asserts `(tag, at)` completions match `want` in order, instants
+    /// compared as bits.
+    fn assert_completions(got: &[(u64, f64)], want: &[(u64, f64)]) {
+        assert_eq!(got.len(), want.len(), "{got:?}");
+        for ((gt, ga), (wt, wa)) in got.iter().zip(want) {
+            assert_eq!(gt, wt, "{got:?}");
+            assert_eq!(ga.to_bits(), wa.to_bits(), "{got:?}");
+        }
+    }
+
     #[test]
     fn try_run_matches_run_to_completion_when_healthy() {
+        // Both flows share 100 B/s: the 500 B one finishes at t=10, the
+        // 1000 B one then runs alone and finishes at t=15.
         let make = || {
             let (mut net, r) = net_with(&[100.0]);
-            net.add_flow(FlowSpec::new(vec![r[0]], 1000.0));
-            net.add_flow(FlowSpec::new(vec![r[0]], 500.0));
+            net.add_flow(FlowSpec::new(vec![r[0]], 1000.0).with_tag(1));
+            net.add_flow(FlowSpec::new(vec![r[0]], 500.0).with_tag(2));
             net
         };
-        let a = make().run_to_completion(|_, _| {});
-        let b = make().try_run_to_completion(|_, _| {}).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
+        let mut done = Vec::new();
+        let report = make()
+            .drive(Vec::new(), &FaultTimeline::empty(), |_, c| {
+                done.push((c.tag, c.at))
+            })
+            .unwrap();
+        assert_healthy(&report, 15.0);
+        assert_completions(&done, &[(2, 10.0), (1, 15.0)]);
+        let end = make().run_to_completion(|_, _| {});
+        assert_eq!(end.to_bits(), report.end.to_bits());
     }
 
     #[test]
     fn empty_timeline_is_bit_identical_to_plain_run() {
+        // The shared 77 B/s link splits evenly: the 700 B flow finishes
+        // at 700/38.5, then the 1000 B flow drains its last 300 B alone.
         let make = || {
             let (mut net, r) = net_with(&[123.0, 77.0]);
             net.add_flow(FlowSpec::new(vec![r[0], r[1]], 1000.0).with_tag(1));
             net.add_flow(FlowSpec::new(vec![r[1]], 700.0).with_tag(2));
             net
         };
+        let want = [(2, 18.181818181818183), (1, 22.07792207792208)];
         let mut plain_done = Vec::new();
         let plain_end = make().run_to_completion(|_, c| plain_done.push((c.tag, c.at)));
-        let mut fault_done = Vec::new();
+        assert_eq!(plain_end.to_bits(), 22.07792207792208f64.to_bits());
+        assert_completions(&plain_done, &want);
+        let mut done = Vec::new();
         let report = make()
-            .run_with_faults(&FaultTimeline::empty(), |_, c| {
-                fault_done.push((c.tag, c.at))
+            .drive(Vec::new(), &FaultTimeline::empty(), |_, c| {
+                done.push((c.tag, c.at))
             })
             .unwrap();
-        assert_eq!(plain_end.to_bits(), report.end.to_bits());
-        assert_eq!(plain_done.len(), fault_done.len());
-        for ((pt, pa), (ft, fa)) in plain_done.iter().zip(&fault_done) {
-            assert_eq!(pt, ft);
-            assert_eq!(pa.to_bits(), fa.to_bits());
-        }
-        assert_eq!(report.stall_seconds, 0.0);
-        assert_eq!(report.events_applied, 0);
-        assert_eq!(report.last_event_at, None);
+        assert_healthy(&report, 22.07792207792208);
+        assert_completions(&done, &want);
     }
 
     #[test]
@@ -1541,7 +1467,7 @@ mod tests {
             CapacityEvent::new(1.0, r[0], 0.0),
             CapacityEvent::new(5.0, r[0], 1.0),
         ]);
-        let report = net.run_with_faults(&tl, |_, _| {}).unwrap();
+        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
         assert!((report.end - 14.0).abs() < 1e-6, "end = {}", report.end);
         assert!(
             (report.stall_seconds - 4.0).abs() < 1e-9,
@@ -1563,7 +1489,7 @@ mod tests {
             CapacityEvent::new(2.0, r[0], 0.1),
             CapacityEvent::new(4.0, r[0], 1.0),
         ]);
-        let report = net.run_with_faults(&tl, |_, _| {}).unwrap();
+        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
         assert!((report.end - 11.8).abs() < 1e-6, "end = {}", report.end);
         assert_eq!(report.stall_seconds, 0.0);
     }
@@ -1575,7 +1501,7 @@ mod tests {
         net.add_flow(FlowSpec::new(vec![r[0]], 1000.0));
         let tl = FaultTimeline::new(vec![CapacityEvent::new(1.0, r[0], 0.0)]);
         let err = net
-            .run_with_faults(&tl, |_, _| {})
+            .drive(Vec::new(), &tl, |_, _| {})
             .expect_err("no recovery scheduled");
         assert_eq!(err.at, 1.0);
         assert_eq!(err.starved, vec!["r0".to_string()]);
@@ -1587,7 +1513,7 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         net.add_flow(FlowSpec::new(vec![r[0]], 100.0));
         let tl = FaultTimeline::new(vec![CapacityEvent::new(50.0, r[0], 0.0)]);
-        let report = net.run_with_faults(&tl, |_, _| {}).unwrap();
+        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
         assert!((report.end - 1.0).abs() < 1e-9);
         assert_eq!(report.events_applied, 0);
         assert_eq!(net.resource_capacity(r[0]), 100.0, "event never applied");
@@ -1645,7 +1571,7 @@ mod tests {
             CapacityEvent::new(1.0, m, 0.0),
             CapacityEvent::new(5.0, m, 1.0),
         ]);
-        let report = net.run_with_faults(&tl, |_, _| {}).unwrap();
+        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
         // One aggregate event per edge, but it stands for 4 per-node
         // events — the expanded run would have applied 8.
         assert_eq!(report.events_applied, 8);
@@ -1663,7 +1589,7 @@ mod tests {
         ];
         let mut done = Vec::new();
         let report = net
-            .run_open_loop(arrivals, &FaultTimeline::empty(), |_, c| {
+            .drive(arrivals, &FaultTimeline::empty(), |_, c| {
                 done.push((c.tag, c.latency))
             })
             .unwrap();
@@ -1684,7 +1610,7 @@ mod tests {
             (0.5, FlowSpec::new(vec![r[0]], 100.0)),
         ];
         let mut latencies = Vec::new();
-        net.run_open_loop(arrivals, &FaultTimeline::empty(), |_, c| {
+        net.drive(arrivals, &FaultTimeline::empty(), |_, c| {
             latencies.push(c.latency)
         })
         .unwrap();
@@ -1710,7 +1636,7 @@ mod tests {
         ]);
         let mut done = Vec::new();
         let report = net
-            .run_open_loop(arrivals, &tl, |_, c| done.push((c.tag, c.latency)))
+            .drive(arrivals, &tl, |_, c| done.push((c.tag, c.latency)))
             .unwrap();
         assert_eq!(done.len(), 2);
         assert!((done[0].1 - 2.0).abs() < 1e-6, "{done:?}");
@@ -1727,7 +1653,7 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(2.0, FlowSpec::new(vec![r[0]], 100.0).submitted_at(0.0))];
         let mut latencies = Vec::new();
-        net.run_open_loop(arrivals, &FaultTimeline::empty(), |_, c| {
+        net.drive(arrivals, &FaultTimeline::empty(), |_, c| {
             latencies.push(c.latency)
         })
         .unwrap();
@@ -1739,7 +1665,7 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0).with_op(3, 7))];
         let mut ops = Vec::new();
-        net.run_open_loop(arrivals, &FaultTimeline::empty(), |_, c| ops.push(c.op))
+        net.drive(arrivals, &FaultTimeline::empty(), |_, c| ops.push(c.op))
             .unwrap();
         assert_eq!(
             ops,
@@ -1756,7 +1682,7 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0))];
         let tl = FaultTimeline::new(vec![CapacityEvent::new(50.0, r[0], 0.0)]);
-        let report = net.run_open_loop(arrivals, &tl, |_, _| {}).unwrap();
+        let report = net.drive(arrivals, &tl, |_, _| {}).unwrap();
         assert!((report.end - 1.0).abs() < 1e-9);
         assert_eq!(report.events_applied, 0);
         assert_eq!(net.resource_capacity(r[0]), 100.0);
@@ -1769,45 +1695,61 @@ mod tests {
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0))];
         let tl = FaultTimeline::new(vec![CapacityEvent::new(0.5, r[0], 0.0)]);
         let err = net
-            .run_open_loop(arrivals, &tl, |_, _| {})
+            .drive(arrivals, &tl, |_, _| {})
             .expect_err("no recovery and no arrival left");
         assert_eq!(err.starved, vec!["r0".to_string()]);
     }
 
     #[test]
-    fn open_loop_with_preloaded_flows_matches_run_with_faults() {
-        // No arrivals: the open-loop driver degenerates to
-        // run_with_faults bit for bit.
+    fn drive_with_preloaded_flows_and_faults_is_pinned() {
+        // No arrivals, every flow present at entry: r0 degrades to 25%
+        // over [1, 4). The 700 B flow picks up the slack the capped
+        // 1000 B flow leaves on the shared link and finishes earlier
+        // than in the healthy run; the other flow ends at the same
+        // instant as in the healthy run.
+        use crate::faults::CapacityEvent;
+        let (mut net, r) = net_with(&[123.0, 77.0]);
+        net.add_flow(FlowSpec::new(vec![r[0], r[1]], 1000.0).with_tag(1));
+        net.add_flow(FlowSpec::new(vec![r[1]], 700.0).with_tag(2));
+        let tl = FaultTimeline::new(vec![
+            CapacityEvent::new(1.0, r[0], 0.25),
+            CapacityEvent::new(4.0, r[0], 1.0),
+        ]);
+        let mut done = Vec::new();
+        let report = net
+            .drive(Vec::new(), &tl, |_, c| done.push((c.tag, c.at)))
+            .unwrap();
+        assert_eq!(report.end.to_bits(), 22.07792207792208f64.to_bits());
+        assert_completions(&done, &[(2, 17.57792207792208), (1, 22.07792207792208)]);
+        assert_eq!(report.stall_seconds, 0.0);
+        assert_eq!(report.events_applied, 2);
+        assert_eq!(report.last_event_at, Some(4.0));
+    }
+
+    #[test]
+    fn coincident_capacity_events_apply_as_one_batch() {
+        // Three events at one instant (a fault fanned out to three
+        // member resources) cost one re-solve, not three.
         use crate::faults::CapacityEvent;
         let make = || {
-            let (mut net, r) = net_with(&[123.0, 77.0]);
-            net.add_flow(FlowSpec::new(vec![r[0], r[1]], 1000.0).with_tag(1));
-            net.add_flow(FlowSpec::new(vec![r[1]], 700.0).with_tag(2));
+            let (mut net, r) = net_with(&[100.0, 100.0, 100.0]);
+            net.add_flow(FlowSpec::new(r.clone(), 1000.0));
             (net, r)
         };
-        let tl = |r: &Vec<ResourceId>| {
-            FaultTimeline::new(vec![
-                CapacityEvent::new(1.0, r[0], 0.25),
-                CapacityEvent::new(4.0, r[0], 1.0),
-            ])
-        };
-        let (mut a, ra) = make();
-        let mut done_a = Vec::new();
-        let ra_report = a
-            .run_with_faults(&tl(&ra), |_, c| done_a.push((c.tag, c.at)))
-            .unwrap();
-        let (mut b, rb) = make();
-        let mut done_b = Vec::new();
-        let rb_report = b
-            .run_open_loop(Vec::new(), &tl(&rb), |_, c| done_b.push((c.tag, c.at)))
-            .unwrap();
-        assert_eq!(ra_report.end.to_bits(), rb_report.end.to_bits());
-        assert_eq!(ra_report.events_applied, rb_report.events_applied);
-        assert_eq!(done_a.len(), done_b.len());
-        for ((ta, aa), (tb, ab)) in done_a.iter().zip(&done_b) {
-            assert_eq!(ta, tb);
-            assert_eq!(aa.to_bits(), ab.to_bits());
-        }
+        let (mut healthy, _) = make();
+        healthy.run_to_completion(|_, _| {});
+        let (mut net, r) = make();
+        let tl = FaultTimeline::new(
+            r.iter()
+                .map(|&id| CapacityEvent::new(1.0, id, 0.5))
+                .collect(),
+        );
+        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        assert_eq!(net.rate_epochs(), healthy.rate_epochs() + 1);
+        assert_eq!(report.events_applied, 3);
+        assert_eq!(report.last_event_at, Some(1.0));
+        // 100 B at full rate, then 900 B at half rate.
+        assert_eq!(report.end, 19.0);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!
 //! Supporting modules: [`faults`] (deterministic timed capacity
 //! schedules — outages, degradations, recoveries — consumed by
-//! [`flownet::FlowNet::run_with_faults`]), [`arrivals`] (seeded
-//! open-loop arrival schedules — fixed-rate and Poisson — consumed by
-//! [`flownet::FlowNet::run_open_loop`]), [`time`] (simulated time arithmetic), [`rng`]
+//! [`flownet::FlowNet::drive`]), [`arrivals`] (seeded open-loop
+//! arrival schedules — fixed-rate and Poisson — whose ops the same
+//! drive loop admits), [`time`] (simulated time arithmetic), [`rng`]
 //! (seeded, label-splittable random streams), [`stats`] (online summary
 //! statistics), [`intervals`] (interval-set algebra used for I/O overlap
 //! analysis), and [`units`] (byte/bandwidth unit helpers).

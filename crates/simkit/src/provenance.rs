@@ -381,7 +381,7 @@ mod tests {
             crate::faults::CapacityEvent::new(4.0, r, 0.0),
             crate::faults::CapacityEvent::new(7.0, r, 1.0),
         ]);
-        net.run_with_faults(&tl, |_, _| {}).expect("recovers");
+        net.drive(Vec::new(), &tl, |_, _| {}).expect("recovers");
         let log = prov.snapshot();
         assert_eq!(log.ops.len(), 1);
         let op = &log.ops[0];

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use hcs_core::graph::{
     with_forced_aggregation, AggregateMode, PlanOptions, AGGREGATE_NODE_THRESHOLD,
 };
-use hcs_core::runner::{run_phase, run_phase_traced, run_phase_with_faults};
+use hcs_core::runner::{run_phase, run_phase_chaos, run_phase_traced};
 use hcs_core::scenario::FaultSpec;
 use hcs_core::telemetry::Recorder;
 use hcs_core::testing::UniformSystem;
@@ -151,7 +151,11 @@ fn fault_accounting_survives_aggregation_unchanged() {
     let sys = UniformSystem::new("toy", 100.0 * GIB).with_node_bw(GIB);
     let phase = PhaseSpec::seq_write(MIB, 64.0 * MIB);
     let faults = [FaultSpec::outage(StageKind::ClientMount, 0.01, 0.03)];
-    let (exp, agg) = both_modes(|| run_phase_with_faults(&sys, 6, 2, &phase, &faults).unwrap());
+    let (exp, agg) = both_modes(|| {
+        run_phase_chaos(&sys, 6, 2, &phase, &faults)
+            .map(|r| (r.outcome, r.report))
+            .unwrap()
+    });
     assert_eq!(exp.0.duration.to_bits(), agg.0.duration.to_bits());
     assert_eq!(
         exp.1.stall_seconds.to_bits(),
@@ -169,7 +173,11 @@ fn named_mount_fault_splits_class_and_matches_expanded() {
     let sys = UniformSystem::new("toy", 100.0 * GIB).with_node_bw(GIB);
     let phase = PhaseSpec::seq_write(MIB, 64.0 * MIB);
     let faults = [FaultSpec::outage(StageKind::ClientMount, 0.01, 0.03).named("toy:mount5")];
-    let (exp, agg) = both_modes(|| run_phase_with_faults(&sys, 6, 2, &phase, &faults).unwrap());
+    let (exp, agg) = both_modes(|| {
+        run_phase_chaos(&sys, 6, 2, &phase, &faults)
+            .map(|r| (r.outcome, r.report))
+            .unwrap()
+    });
     assert_eq!(exp.0.duration.to_bits(), agg.0.duration.to_bits());
     for (a, b) in exp.0.per_node_duration.iter().zip(&agg.0.per_node_duration) {
         assert_eq!(a.to_bits(), b.to_bits());
@@ -250,7 +258,7 @@ proptest! {
         };
         let faults = [spec.named(name)];
         let (exp, agg) =
-            both_modes(|| run_phase_with_faults(&sys, k, ppn, &phase, &faults).unwrap());
+            both_modes(|| run_phase_chaos(&sys, k, ppn, &phase, &faults).map(|r| (r.outcome, r.report)).unwrap());
         prop_assert_eq!(exp.0.duration.to_bits(), agg.0.duration.to_bits());
         prop_assert_eq!(
             exp.1.stall_seconds.to_bits(),

@@ -93,12 +93,12 @@ fn deck_results_are_independent_of_worker_count() {
     // The deck executor fans points out over the rayon pool; a run
     // pinned to one worker must be bit-identical to a run on several —
     // the scheduling never reaches the physics.
-    use hcs_experiments::run_deck;
+    use hcs_experiments::{run_deck, Meter};
     let deck = hcs_experiments::figures::example_deck().smoked();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_deck(&deck);
+    let serial = run_deck(&deck, None, Meter::Off);
     std::env::set_var("RAYON_NUM_THREADS", "4");
-    let parallel = run_deck(&deck);
+    let parallel = run_deck(&deck, None, Meter::Off);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {
@@ -112,12 +112,12 @@ fn deck_metrics_are_independent_of_worker_count() {
     // the *only* non-deterministic metric (and is excluded from the
     // deck summary and reports); everything else must be bit-identical
     // across pool sizes.
-    use hcs_experiments::run_deck_with_metrics;
+    use hcs_experiments::{run_deck, Meter};
     let deck = hcs_experiments::figures::example_deck().smoked();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_deck_with_metrics(&deck);
+    let serial = run_deck(&deck, None, Meter::Metrics);
     std::env::set_var("RAYON_NUM_THREADS", "4");
-    let parallel = run_deck_with_metrics(&deck);
+    let parallel = run_deck(&deck, None, Meter::Metrics);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(serial.metrics, parallel.metrics, "deck summaries differ");
     for (a, b) in serial.points.iter().zip(&parallel.points) {
@@ -138,7 +138,7 @@ fn open_loop_deck_metrics_are_independent_of_worker_count() {
     // gains knee verdicts; both are built from integer bucket counts,
     // so they must be bit-identical across pool sizes too.
     use hcs_core::{Arrival, Deck, Discipline, Scenario, Workload};
-    use hcs_experiments::run_deck_with_metrics;
+    use hcs_experiments::{run_deck, Meter};
     let scenario = Scenario::new(
         "vast-lassen",
         Workload::Ior(IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4)),
@@ -152,9 +152,9 @@ fn open_loop_deck_metrics_are_independent_of_worker_count() {
     let mut deck = Deck::single("open-parity", scenario);
     deck.axes.offered_load = vec![100.0, 200.0];
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_deck_with_metrics(&deck);
+    let serial = run_deck(&deck, None, Meter::Metrics);
     std::env::set_var("RAYON_NUM_THREADS", "4");
-    let parallel = run_deck_with_metrics(&deck);
+    let parallel = run_deck(&deck, None, Meter::Metrics);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(serial.metrics, parallel.metrics, "deck summaries differ");
     let knees = &serial.metrics.as_ref().unwrap().knees;
@@ -179,7 +179,7 @@ fn provenance_blame_reports_are_independent_of_worker_count() {
     // pinned to one worker must render the same blame report — Tail
     // forensics section included — as a run on several.
     use hcs_core::{Arrival, Deck, Discipline, Scenario, Workload};
-    use hcs_experiments::{render_markdown, run_deck_with_provenance};
+    use hcs_experiments::{render_markdown, run_deck, Meter};
     let scenario = Scenario::new(
         "vast-lassen",
         Workload::Ior(IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4)),
@@ -193,9 +193,9 @@ fn provenance_blame_reports_are_independent_of_worker_count() {
     let mut deck = Deck::single("blame-parity", scenario);
     deck.axes.offered_load = vec![100.0, 2000.0];
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_deck_with_provenance(&deck);
+    let serial = run_deck(&deck, None, Meter::Provenance);
     std::env::set_var("RAYON_NUM_THREADS", "4");
-    let parallel = run_deck_with_provenance(&deck);
+    let parallel = run_deck(&deck, None, Meter::Provenance);
     std::env::remove_var("RAYON_NUM_THREADS");
     for (a, b) in serial.points.iter().zip(&parallel.points) {
         let pa = a.metrics.as_ref().unwrap().provenance.as_ref();

@@ -157,7 +157,7 @@ fn open_loop_outage_lifts_the_tail_and_bounds_stall() {
     // stall invariant carries over — full-stall seconds never exceed
     // the outage window.
     use hcs_core::{Arrival, Discipline, FaultSpec, StageKind};
-    use hcs_ior::run_ior_open_loop;
+    use hcs_ior::{run_ior_with, IorRun};
 
     let sys = vast_on_lassen();
     let cfg = IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4);
@@ -168,12 +168,20 @@ fn open_loop_outage_lifts_the_tail_and_bounds_stall() {
         seed: 3,
     };
 
-    let (_, calm) = run_ior_open_loop(&sys, &cfg, &arrival, &[]).expect("fault-free run");
+    let open_loop = |faults: &[FaultSpec]| {
+        let run = IorRun {
+            arrival,
+            faults,
+            ..IorRun::default()
+        };
+        run_ior_with(&sys, &cfg, run).map(|out| out.open_loop.expect("open-loop run"))
+    };
+    let calm = open_loop(&[]).expect("fault-free run");
     assert_eq!(calm.report.stall_seconds, 0.0, "no faults, no stall");
     assert_eq!(calm.ops_completed, calm.ops_offered);
 
     let outage = [FaultSpec::outage(StageKind::Gateway, 0.1, 0.25)];
-    let (_, stormy) = run_ior_open_loop(&sys, &cfg, &arrival, &outage).expect("recovered run");
+    let stormy = open_loop(&outage).expect("recovered run");
     assert!(
         stormy.histogram.p99().unwrap() > calm.histogram.p99().unwrap(),
         "outage must push the tail: {} vs {}",
@@ -198,7 +206,7 @@ fn open_loop_composes_with_chaos_timelines() {
     use hcs_core::chaos::{generate_timeline, FaultBudget};
     use hcs_core::scenario::FaultKind;
     use hcs_core::{Arrival, Discipline, StageKind};
-    use hcs_ior::run_ior_open_loop;
+    use hcs_ior::{run_ior_with, IorRun};
 
     let sys = vast_on_lassen();
     let cfg = IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4);
@@ -223,8 +231,14 @@ fn open_loop_composes_with_chaos_timelines() {
             .filter(|s| s.fault == FaultKind::Outage)
             .map(|s| s.end - s.start)
             .sum();
-        match run_ior_open_loop(&sys, &cfg, &arrival, &specs) {
-            Ok((_, open)) => {
+        let run = IorRun {
+            arrival,
+            faults: &specs,
+            ..IorRun::default()
+        };
+        match run_ior_with(&sys, &cfg, run) {
+            Ok(out) => {
+                let open = out.open_loop.expect("open-loop run");
                 assert!(
                     open.report.stall_seconds <= outage_budget + 1e-9,
                     "timeline {k}: stall {} exceeds its outage budget {outage_budget}",
@@ -256,7 +270,7 @@ fn overlapping_degrades_match_expanded_under_aggregation() {
     // (class) plan must reproduce the expanded plan bit for bit through
     // that interleaving, including the per-member event accounting.
     use hcs_core::graph::with_forced_aggregation;
-    use hcs_core::runner::run_phase_with_faults;
+    use hcs_core::runner::run_phase_chaos;
     use hcs_core::scenario::FaultSpec;
     use hcs_core::testing::UniformSystem;
     use hcs_core::{PhaseSpec, StageKind};
@@ -268,7 +282,10 @@ fn overlapping_degrades_match_expanded_under_aggregation() {
         FaultSpec::degrade(StageKind::ClientMount, 0.005, 0.030, 0.5),
         FaultSpec::degrade(StageKind::ClientMount, 0.020, 0.045, 0.8),
     ];
-    let run = || run_phase_with_faults(&sys, 6, 2, &phase, &faults).unwrap();
+    let run = || {
+        let run = run_phase_chaos(&sys, 6, 2, &phase, &faults).unwrap();
+        (run.outcome, run.report)
+    };
     let exp = with_forced_aggregation(false, run);
     let agg = with_forced_aggregation(true, run);
     assert_eq!(exp.0.duration.to_bits(), agg.0.duration.to_bits());

@@ -146,9 +146,9 @@ fn capture() -> ParityFile {
 // bit-identical to the expanded plan's.
 
 use hcs_core::graph::{with_forced_aggregation, AggregateMode, PlanOptions};
-use hcs_core::runner::{resolve_faults, resolve_faults_planned};
+use hcs_core::runner::resolve_faults_planned;
 use hcs_core::{FaultSpec, StageKind};
-use hcs_experiments::deck::run_scenario_metered;
+use hcs_experiments::deck::{run_scenario, Meter};
 use hcs_simkit::flownet::FlowNet;
 
 /// A timeline flattened to comparable, bit-exact tuples. Events are
@@ -194,7 +194,7 @@ fn named_fault_split_resolves_like_expanded_plan() {
         },
     );
     assert!(prov_e.aggregates.is_empty(), "Never must expand");
-    let tl_e = resolve_faults(&faults, &net_e, &prov_e.stage_kinds).expect("expanded resolves");
+    let tl_e = resolve_faults_planned(&faults, &net_e, &prov_e).expect("expanded resolves");
 
     // Aggregated plan: the named node must be split into a singleton
     // aggregate carrying its exact expanded name.
@@ -259,8 +259,10 @@ fn outage_example_deck_resilience_is_aggregation_invariant() {
     let points = deck.expand();
     assert_eq!(points.len(), 2, "fault-free twin + faulted point");
     for scenario in &points {
-        let expanded = with_forced_aggregation(false, || run_scenario_metered(scenario));
-        let aggregated = with_forced_aggregation(true, || run_scenario_metered(scenario));
+        let expanded =
+            with_forced_aggregation(false, || run_scenario(scenario, None, Meter::Metrics));
+        let aggregated =
+            with_forced_aggregation(true, || run_scenario(scenario, None, Meter::Metrics));
         let (me, ma) = (
             expanded.metrics.as_ref().unwrap(),
             aggregated.metrics.as_ref().unwrap(),

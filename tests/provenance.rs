@@ -13,8 +13,9 @@
 //!    observed run's outcome is bit-identical to the unobserved twin
 //!    on every field, with or without faults.
 
+use hcs_core::runner::OpenLoopOutcome;
 use hcs_core::{Arrival, Discipline, FaultSpec, StageKind};
-use hcs_ior::{run_ior_open_loop, run_ior_open_loop_observed, IorConfig, WorkloadClass};
+use hcs_ior::{run_ior_with, IorConfig, IorReport, IorRun, WorkloadClass};
 use hcs_simkit::{FlowNet, FlowSpec, ProvenanceHandle, ProvenanceLog, ResourceSpec};
 use proptest::prelude::*;
 
@@ -108,6 +109,24 @@ fn open_arrival(rate: f64, seed: u64) -> Arrival {
     }
 }
 
+/// An open-loop IOR run on `vast`, with or without the blame probe.
+fn open_loop(
+    vast: &dyn hcs_core::StorageSystem,
+    config: &IorConfig,
+    arrival: Arrival,
+    faults: &[FaultSpec],
+    provenance: bool,
+) -> (IorReport, OpenLoopOutcome) {
+    let run = IorRun {
+        arrival,
+        faults,
+        recorder: None,
+        provenance,
+    };
+    let out = run_ior_with(vast, config, run).expect("runs");
+    (out.report, out.open_loop.expect("open-loop run"))
+}
+
 /// Provenance-on must be bit-identical to provenance-off on every
 /// outcome field — the PR-2 parity discipline applied to the probe.
 #[test]
@@ -115,9 +134,8 @@ fn observed_open_loop_runs_match_unobserved_bit_for_bit() {
     let vast = hcs_vast::vast_on_lassen();
     let config = IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4);
     let arrival = open_arrival(400.0, 11);
-    let (plain_report, plain) = run_ior_open_loop(&vast, &config, &arrival, &[]).expect("runs");
-    let (obs_report, observed) =
-        run_ior_open_loop_observed(&vast, &config, &arrival, &[], None).expect("runs");
+    let (plain_report, plain) = open_loop(&vast, &config, arrival, &[], false);
+    let (obs_report, observed) = open_loop(&vast, &config, arrival, &[], true);
     assert_eq!(plain_report, obs_report, "IOR report perturbed");
     let prov = observed
         .provenance
@@ -138,9 +156,8 @@ fn observed_faulted_runs_match_and_land_stall_in_the_decomposition() {
     let config = IorConfig::smoke(WorkloadClass::DataAnalytics, 1, 4);
     let arrival = open_arrival(200.0, 7);
     let faults = vec![FaultSpec::outage(StageKind::Gateway, 0.05, 0.15)];
-    let (plain_report, plain) = run_ior_open_loop(&vast, &config, &arrival, &faults).expect("runs");
-    let (obs_report, observed) =
-        run_ior_open_loop_observed(&vast, &config, &arrival, &faults, None).expect("runs");
+    let (plain_report, plain) = open_loop(&vast, &config, arrival, &faults, false);
+    let (obs_report, observed) = open_loop(&vast, &config, arrival, &faults, true);
     assert_eq!(plain_report, obs_report, "faulted IOR report perturbed");
     let prov = observed.provenance.as_ref().expect("decomposes");
     assert!(

@@ -16,10 +16,7 @@
 
 use hcs_core::telemetry::Recorder;
 use hcs_experiments::figures::example_deck;
-use hcs_experiments::{
-    render_markdown, run_deck, run_deck_traced, run_deck_traced_with_metrics,
-    run_deck_with_metrics, to_report_json,
-};
+use hcs_experiments::{render_markdown, run_deck, to_report_json, Meter};
 
 const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -29,8 +26,8 @@ const FIXTURE_PATH: &str = concat!(
 #[test]
 fn metrics_do_not_perturb_outcomes() {
     let deck = example_deck().smoked();
-    let plain = run_deck(&deck);
-    let metered = run_deck_with_metrics(&deck);
+    let plain = run_deck(&deck, None, Meter::Off);
+    let metered = run_deck(&deck, None, Meter::Metrics);
     assert_eq!(plain.points.len(), metered.points.len());
     for (p, m) in plain.points.iter().zip(&metered.points) {
         assert_eq!(p.scenario, m.scenario);
@@ -59,21 +56,22 @@ fn metrics_do_not_perturb_outcomes() {
 
 #[test]
 fn traced_metrics_match_plain_trace() {
-    // The metered traced path runs each point into a private recorder
-    // and stacks them; the trace must be bit-identical to the shared-
-    // recorder path and the outcomes identical to all other paths.
+    // A traced deck runs each point into a private recorder and stacks
+    // them; metering reads those recorders without writing to them, so
+    // the trace must be bit-identical with metrics off or on, and the
+    // outcomes identical to all other paths.
     let deck = example_deck().smoked();
     let mut plain_rec = Recorder::new();
-    let plain = run_deck_traced(&deck, &mut plain_rec);
+    let plain = run_deck(&deck, Some(&mut plain_rec), Meter::Off);
     let mut metered_rec = Recorder::new();
-    let metered = run_deck_traced_with_metrics(&deck, &mut metered_rec);
+    let metered = run_deck(&deck, Some(&mut metered_rec), Meter::Metrics);
     for (p, m) in plain.points.iter().zip(&metered.points) {
         assert_eq!(p.outcome, m.outcome);
     }
     assert_eq!(
         plain_rec.to_chrome_json(),
         metered_rec.to_chrome_json(),
-        "stacked per-point recorders must reproduce the shared trace"
+        "metering must not perturb the stacked trace"
     );
     assert_eq!(plain_rec.clock(), metered_rec.clock());
     assert_eq!(plain_rec.metrics_summary(), metered_rec.metrics_summary());
@@ -82,7 +80,7 @@ fn traced_metrics_match_plain_trace() {
 #[test]
 fn report_matches_golden_fixture() {
     let deck = example_deck().smoked();
-    let result = run_deck_with_metrics(&deck);
+    let result = run_deck(&deck, None, Meter::Metrics);
     let markdown = render_markdown(&result);
 
     if std::env::var_os("HCS_BLESS_REPORT").is_some() {
@@ -101,7 +99,7 @@ fn report_matches_golden_fixture() {
 #[test]
 fn report_json_mirrors_the_markdown() {
     let deck = example_deck().smoked();
-    let result = run_deck_with_metrics(&deck);
+    let result = run_deck(&deck, None, Meter::Metrics);
     let json = to_report_json(&result);
     assert_eq!(json.name, result.name);
     assert_eq!(json.points.len(), result.points.len());
@@ -115,7 +113,7 @@ fn report_json_mirrors_the_markdown() {
 #[test]
 fn unmetered_report_renders_a_hint() {
     let deck = example_deck().smoked();
-    let result = run_deck(&deck);
+    let result = run_deck(&deck, None, Meter::Off);
     let markdown = render_markdown(&result);
     assert!(
         markdown.contains("hcs run"),

@@ -20,12 +20,21 @@ use hcs_core::telemetry::Recorder;
 use hcs_core::{JobScript, PhaseOutcome, PhaseSpec, StorageSystem};
 use hcs_dlio::{resnet50, run_dlio, run_dlio_traced};
 use hcs_gpfs::GpfsConfig;
-use hcs_ior::{run_ior, run_ior_traced, IorConfig, WorkloadClass};
+use hcs_ior::{run_ior, run_ior_with, IorConfig, IorReport, IorRun, WorkloadClass};
 use hcs_lustre::LustreConfig;
 use hcs_nvme::LocalNvmeConfig;
 use hcs_simkit::units::MIB;
 use hcs_unifyfs::UnifyFsConfig;
 use hcs_vast::vast_on_lassen;
+
+/// [`run_ior`] with the measured phase traced into `recorder`.
+fn ior_traced(sys: &dyn StorageSystem, cfg: &IorConfig, recorder: &mut Recorder) -> IorReport {
+    let run = IorRun {
+        recorder: Some(recorder),
+        ..IorRun::default()
+    };
+    run_ior_with(sys, cfg, run).expect("fault-free run").report
+}
 
 const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -131,7 +140,7 @@ fn ior_reports_are_unperturbed() {
             let cfg = IorConfig::smoke(class, 2, 8);
             let plain = run_ior(sys.as_ref(), &cfg);
             let mut rec = Recorder::new();
-            let traced = run_ior_traced(sys.as_ref(), &cfg, &mut rec);
+            let traced = ior_traced(sys.as_ref(), &cfg, &mut rec);
             let p: Vec<u64> = plain
                 .outcome
                 .bandwidths
@@ -233,7 +242,7 @@ fn golden_chrome_trace_fixture() {
     let sys = vast_on_lassen();
     let cfg = IorConfig::smoke(WorkloadClass::Scientific, 2, 4);
     let mut rec = Recorder::new();
-    run_ior_traced(&sys, &cfg, &mut rec);
+    ior_traced(&sys, &cfg, &mut rec);
     let json = rec.to_chrome_json();
 
     if std::env::var_os("HCS_BLESS_TELEMETRY").is_some() {
@@ -259,7 +268,7 @@ fn chrome_trace_parses_back_losslessly() {
     let sys = vast_on_lassen();
     let cfg = IorConfig::smoke(WorkloadClass::MachineLearning, 2, 4);
     let mut rec = Recorder::new();
-    run_ior_traced(&sys, &cfg, &mut rec);
+    ior_traced(&sys, &cfg, &mut rec);
     let json = rec.to_chrome_json();
     let parsed = hcs_dftrace::chrome::from_json(&json).expect("emitted trace must parse");
     assert_eq!(parsed.len(), rec.tracer().len());
