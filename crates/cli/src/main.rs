@@ -11,14 +11,17 @@
 //! hcs report <deck-result.json|chaos-report.json>  render a result as a report
 //! hcs decks [--export <dir>]                list/export the builtin decks
 //! hcs figures [--scale smoke]               regenerate every figure
+//! hcs ablations [--scale smoke]             regenerate the ablation sweeps
+//! hcs sensitivity [--scale smoke]           §VII claims under calibration perturbations
 //! hcs takeaways [--scale smoke]             §VII paper-vs-measured
+//! hcs table1 | fig1                         print Table I / Fig 1's architecture panels
 //! ```
 
 use hcs_core::scenario::Scale;
 use hcs_core::telemetry::Recorder;
 use hcs_core::{Deck, StorageSystem};
 use hcs_dlio::{cosmoflow, resnet50, run_dlio, run_dlio_traced};
-use hcs_experiments::{registry, Meter};
+use hcs_experiments::{registry, Figure, Meter};
 use hcs_ior::{run_ior_with, IorConfig, IorRun, WorkloadClass};
 use hcs_mdtest::{run_mdtest, MdtestConfig, MetaOp};
 use hcs_replay::{replay, ReplayConfig};
@@ -40,8 +43,12 @@ commands:
                                          chaos report (`hcs chaos`) as markdown
   decks [--export <dir>]                 list builtin decks / export them as JSON
   figures                                regenerate every paper figure
+  ablations                              regenerate the beyond-the-paper ablation sweeps
+  sensitivity                            re-check the §VII claims under ±25% calibration
+                                         perturbations
   takeaways                              print §VII paper-vs-measured
   table1                                 print Table I
+  fig1                                   print Fig 1's architecture panels
 
 systems: see `hcs systems` (the shared registry is the single source)
 workloads (ior): scientific | analytics | ml
@@ -272,6 +279,18 @@ fn apply_budget_overrides(budget: &mut hcs_core::FaultBudget, spec: &str) {
     }
 }
 
+/// Prints each figure as an ASCII table and writes its CSV/JSON/SVG
+/// under `results/`, dying with a one-line diagnostic if the write fails.
+fn emit_figures(cmd: &str, figs: &[Figure]) {
+    for f in figs {
+        println!("{}", hcs_experiments::render::to_table(f));
+    }
+    let dir = std::path::Path::new("results");
+    let n = hcs_experiments::output::write_figures(figs, dir)
+        .unwrap_or_else(|e| die(&format!("{cmd}: cannot write {}: {e}", dir.display())));
+    println!("[wrote {n} figures to {}]", dir.display());
+}
+
 /// Writes the recorder's Chrome trace to `path` and prints the metrics
 /// summary (busy fractions, time-weighted bottleneck attribution).
 fn dump_trace(recorder: &Recorder, path: &str) {
@@ -325,6 +344,7 @@ fn main() {
             }
         }
         "table1" => print!("{}", hcs_experiments::figures::table1::render()),
+        "fig1" => print!("{}", hcs_experiments::figures::fig1::render()),
         "ior" => {
             let (sys, full_ppn) = resolve_system("ior", args.get(1));
             let w = args
@@ -673,15 +693,14 @@ fn main() {
                 println!("[exported {} decks to {}]", decks.len(), dir.display());
             }
         }
-        "figures" => {
-            let figs = hcs_experiments::figures::all_figures(scale);
-            for f in &figs {
-                println!("{}", hcs_experiments::render::to_table(f));
-            }
-            let dir = std::path::PathBuf::from("results");
-            if let Ok(n) = hcs_experiments::output::write_figures(&figs, &dir) {
-                println!("[wrote {n} figures to {}]", dir.display());
-            }
+        "figures" => emit_figures("figures", &hcs_experiments::figures::all_figures(scale)),
+        "ablations" => emit_figures(
+            "ablations",
+            &hcs_experiments::figures::ablations::generate(scale),
+        ),
+        "sensitivity" => {
+            let cases = hcs_experiments::figures::sensitivity::analyze(scale);
+            print!("{}", hcs_experiments::figures::sensitivity::render(&cases));
         }
         "takeaways" => {
             let r = hcs_experiments::figures::takeaways::measure(scale);

@@ -1,17 +1,32 @@
 //! CLI error paths: a bad deck must exit 2 with a one-line diagnostic,
 //! never a panic backtrace. Exercises the `hcs run` front door with
 //! malformed JSON, an unknown registry key, and a fault deck whose
-//! target stage the planned deployment graph does not contain.
+//! target stage the planned deployment graph does not contain, plus
+//! the artifact commands' `results/` writes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Runs the built `hcs` binary with `args`, capturing output.
 fn hcs(args: &[&str]) -> Output {
+    hcs_in(Path::new("."), args)
+}
+
+/// Runs the built `hcs` binary with `args` from working directory `dir`.
+fn hcs_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hcs"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("spawn hcs")
+}
+
+/// Creates a fresh, empty working directory unique to this process.
+fn temp_workdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hcs-cli-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp workdir");
+    dir
 }
 
 /// Writes `content` to a unique temp file and returns its path.
@@ -345,4 +360,43 @@ fn cross_protocol_fault_on_unplanned_kind_exits_2() {
     let out = hcs(&["run", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert_dies_with(&out, "fault targets no planned stage in any swept system");
+}
+
+#[test]
+fn unwritable_results_dir_exits_2() {
+    // `results` is a regular file, so no figure can be written under it.
+    let dir = temp_workdir("unwritable-results");
+    std::fs::write(dir.join("results"), "").expect("write blocker file");
+    for cmd in ["figures", "ablations"] {
+        let out = hcs_in(&dir, &[cmd, "--smoke"]);
+        assert_dies_with(&out, &format!("{cmd}: cannot write results: "));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn artifact_commands_print_and_write_their_artifacts() {
+    let dir = temp_workdir("artifacts");
+    for (args, header) in [
+        (&["fig1"][..], "Fig 1a — VAST@Lassen"),
+        (
+            &["sensitivity", "--smoke"][..],
+            "calibration sensitivity — the §VII claims",
+        ),
+        (&["ablations", "--smoke"][..], "# ablation.gateway — "),
+    ] {
+        let out = hcs_in(&dir, args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(
+            stdout.contains(header),
+            "{args:?} missing '{header}': {stdout}"
+        );
+    }
+    // Eight ablation figures, each as CSV, JSON and SVG.
+    let written = std::fs::read_dir(dir.join("results"))
+        .expect("ablations writes results/")
+        .count();
+    assert_eq!(written, 24);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -491,7 +491,7 @@ impl ProvenanceMetrics {
                 }
                 // Blame entries are in ascending resource order, so a
                 // strict `>` deterministically ties to the lowest index.
-                if dominant.map_or(true, |(_, best)| s > best) {
+                if dominant.is_none_or(|(_, best)| s > best) {
                     dominant = Some((r, s));
                 }
             }

@@ -318,7 +318,7 @@ fn knee_blame(
             .map(|(_, v)| *v)
             .unwrap_or(0.0);
         let growth = now - was;
-        if growth > 0.0 && best.map_or(true, |(_, g)| growth > g) {
+        if growth > 0.0 && best.is_none_or(|(_, g)| growth > g) {
             best = Some((s.resource.as_str(), growth));
         }
     }

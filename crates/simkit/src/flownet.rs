@@ -487,11 +487,6 @@ impl FlowNet {
         });
     }
 
-    /// Removes and returns the installed recorder, if any.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn FlowRecorder>> {
-        self.recorder.take()
-    }
-
     /// Registers a resource and returns its id.
     ///
     /// # Panics

@@ -1,28 +1,26 @@
 //! # hcs-simkit
 //!
-//! Deterministic discrete-event and flow-level simulation engine underlying
-//! the `hcs` (Highly Configurable Storage) suite.
+//! Deterministic flow-level simulation engine underlying the `hcs`
+//! (Highly Configurable Storage) suite.
 //!
-//! The crate provides two cooperating engines:
-//!
-//! * [`engine`] — a classic discrete-event simulation (DES) core: a binary
-//!   heap of timestamped events, a monotone simulated clock, and a
-//!   [`engine::World`] trait that domain crates implement to react to
-//!   events. Determinism is guaranteed by breaking timestamp ties with a
-//!   monotonically increasing sequence number.
-//! * [`flownet`] — a flow-level bandwidth-sharing model. I/O activity is
-//!   expressed as *flows* that traverse a path of capacity-limited
-//!   *resources* (NICs, gateway links, server CPU pools, device arrays).
-//!   Concurrently active flows share every resource max-min fairly;
-//!   completions are predicted analytically between rate recomputations,
-//!   so simulated time advances in O(#rate-changes) rather than
-//!   O(#bytes).
+//! The engine is [`flownet`]: a flow-level bandwidth-sharing model. I/O
+//! activity is expressed as *flows* that traverse a path of
+//! capacity-limited *resources* (NICs, gateway links, server CPU pools,
+//! device arrays). Concurrently active flows share every resource
+//! max-min fairly; completions are predicted analytically between rate
+//! recomputations, so simulated time advances in O(#rate-changes)
+//! rather than O(#bytes). [`flownet::FlowNet::drive`] is the drive
+//! loop for I/O phases: it interleaves flow completions with timed
+//! capacity events and open-loop arrivals. DLIO and trace replay step
+//! the same `FlowNet` directly ([`flownet::FlowNet::next_completion_time`],
+//! [`flownet::FlowNet::advance_to`]) so they can interleave their own
+//! compute events with flow completions.
 //!
 //! Supporting modules: [`faults`] (deterministic timed capacity
-//! schedules — outages, degradations, recoveries — consumed by
-//! [`flownet::FlowNet::drive`]), [`arrivals`] (seeded open-loop
-//! arrival schedules — fixed-rate and Poisson — whose ops the same
-//! drive loop admits), [`time`] (simulated time arithmetic), [`rng`]
+//! schedules — outages, degradations, recoveries — consumed by the
+//! drive loop), [`arrivals`] (seeded open-loop arrival schedules —
+//! fixed-rate and Poisson — whose ops the same drive loop admits),
+//! [`flowlog`] and [`provenance`] (zero-perturbation observers), [`rng`]
 //! (seeded, label-splittable random streams), [`stats`] (online summary
 //! statistics), [`intervals`] (interval-set algebra used for I/O overlap
 //! analysis), and [`units`] (byte/bandwidth unit helpers).
@@ -34,7 +32,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arrivals;
-pub mod engine;
 pub mod faults;
 pub mod flowlog;
 pub mod flownet;
@@ -42,11 +39,9 @@ pub mod intervals;
 pub mod provenance;
 pub mod rng;
 pub mod stats;
-pub mod time;
 pub mod units;
 
 pub use arrivals::{arrival_times, ArrivalDiscipline};
-pub use engine::{EventQueue, Simulation, World};
 pub use faults::{CapacityEvent, FaultRunReport, FaultTimeline, StallError};
 pub use flowlog::{AllocSample, FlowLog, FlowLogHandle, FlowRecord};
 pub use flownet::{
@@ -57,4 +52,3 @@ pub use intervals::IntervalSet;
 pub use provenance::{OpProvenance, ProvenanceHandle, ProvenanceLog};
 pub use rng::SimRng;
 pub use stats::{OnlineStats, Summary};
-pub use time::SimTime;

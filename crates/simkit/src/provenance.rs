@@ -173,7 +173,7 @@ impl State {
                     continue;
                 }
                 let ratio = self.alloc[r as usize] / cap;
-                if binding.map_or(true, |(_, best)| ratio > best) {
+                if binding.is_none_or(|(_, best)| ratio > best) {
                     binding = Some((r, ratio));
                 }
             }

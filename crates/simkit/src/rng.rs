@@ -64,12 +64,6 @@ impl SimRng {
         self.inner.random::<f64>()
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform `u64` in `[0, n)`.
     ///
     /// # Panics

@@ -8,8 +8,9 @@
 //!    bit for bit — the invariant evaluator confirms it on arbitrary
 //!    uniform systems.
 //! 3. **The failure space is clean.** A seeded 3-system × 201-timeline
-//!    smoke campaign completes with zero invariant violations and a
-//!    populated Pareto frontier / fragility ranking, twice, equal.
+//!    smoke campaign, and one over the first deck of the builtin
+//!    catalog, complete with zero invariant violations and a populated
+//!    Pareto frontier / fragility ranking, twice, equal.
 //! 4. **Counterexamples minimize.** An injected artificial violation
 //!    shrinks to its causal core (≤ 2 events).
 
@@ -19,7 +20,7 @@ use hcs_core::chaos::{
     evaluate_run, generate_timeline, shrink_timeline, ChaosCampaign, ChaosFaultKind, FaultBudget,
 };
 use hcs_core::runner::{run_phase, run_phase_chaos};
-use hcs_core::scenario::{Deck, IorConfig, SweepAxes, WorkloadClass};
+use hcs_core::scenario::{Deck, IorConfig, Scale, SweepAxes, WorkloadClass};
 use hcs_core::testing::UniformSystem;
 use hcs_core::{FaultSpec, PhaseSpec, Scenario, StageKind, Workload};
 use hcs_experiments::run_chaos_campaign;
@@ -113,7 +114,8 @@ proptest! {
 /// Property 3: a seeded campaign over three real systems — 3 points ×
 /// 67 timelines = 201 engine-checked runs — finds zero invariant
 /// violations, produces a populated report, and reproduces itself
-/// exactly on a second run.
+/// exactly on a second run. So does one over the first deck of the
+/// builtin catalog (fig2a: 8 points × 16 timelines, seed 7).
 #[test]
 fn three_system_smoke_campaign_is_clean() {
     let base = Scenario::new(
@@ -129,22 +131,28 @@ fn three_system_smoke_campaign_is_clean() {
             ..SweepAxes::default()
         },
     };
-    let mut campaign = ChaosCampaign::new("three-system-smoke", deck);
-    campaign.seed = 1726;
-    campaign.population = 67;
-    let report = run_chaos_campaign(&campaign).unwrap();
-    assert_eq!(report.points, 3);
-    assert_eq!(report.timelines, 201);
-    assert!(report.violations.is_empty(), "{:#?}", report.violations);
-    for stat in &report.invariants {
-        assert_eq!(stat.passed, stat.checked, "{:?}", stat.invariant);
-        assert!(stat.checked > 0, "{:?} never applied", stat.invariant);
+    let mut three = ChaosCampaign::new("three-system-smoke", deck);
+    three.seed = 1726;
+    three.population = 67;
+    let first_builtin = hcs_experiments::figures::all_decks(Scale::Smoke).remove(0);
+    let mut builtin = ChaosCampaign::new("builtin-first", first_builtin);
+    builtin.seed = 7;
+    builtin.population = 16;
+    for (campaign, points, timelines) in [(three, 3, 201), (builtin, 8, 128)] {
+        let report = run_chaos_campaign(&campaign).unwrap();
+        assert_eq!(report.points, points);
+        assert_eq!(report.timelines, timelines);
+        assert!(report.violations.is_empty(), "{:#?}", report.violations);
+        for stat in &report.invariants {
+            assert_eq!(stat.passed, stat.checked, "{:?}", stat.invariant);
+            assert!(stat.checked > 0, "{:?} never applied", stat.invariant);
+        }
+        assert!(!report.pareto.is_empty());
+        assert!(!report.fragility.is_empty());
+        assert!(report.max_slowdown >= 1.0);
+        let again = run_chaos_campaign(&campaign).unwrap();
+        assert_eq!(report, again);
     }
-    assert!(!report.pareto.is_empty());
-    assert!(!report.fragility.is_empty());
-    assert!(report.max_slowdown >= 1.0);
-    let again = run_chaos_campaign(&campaign).unwrap();
-    assert_eq!(report, again);
 }
 
 /// Property 4: the greedy shrinker reduces an artificial violation —
