@@ -466,10 +466,8 @@ fn main() {
                 .get(1)
                 .unwrap_or_else(|| die("replay: missing trace path"));
             let (sys, _) = resolve_system("replay", args.get(2));
-            let json = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("replay: cannot read {path}: {e}")));
-            let tracer = hcs_dftrace::chrome::from_json(&json)
-                .unwrap_or_else(|e| die(&format!("replay: bad trace: {e}")));
+            let tracer =
+                hcs_replay::load_trace(path).unwrap_or_else(|e| die(&format!("replay: {e}")));
             let r = replay(&tracer, sys.as_ref(), &ReplayConfig::default());
             println!(
                 "replayed {} events against {}:\n  io {:.3}s/process (stall {:.4}s), wall {:.2}s",

@@ -400,3 +400,63 @@ fn artifact_commands_print_and_write_their_artifacts() {
     assert_eq!(written, 24);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A single-point replay deck on GPFS whose replay parameters are the
+/// JSON object `replay`.
+fn replay_deck(replay: &str) -> String {
+    format!(
+        r#"{{
+  "name": "err-replay",
+  "base": {{ "system": "gpfs", "workload": {{ "Replay": {replay} }} }}
+}}"#
+    )
+}
+
+#[test]
+fn replay_deck_with_bad_trace_exits_2() {
+    let missing = std::env::temp_dir().join(format!("hcs-no-trace-{}.json", std::process::id()));
+    let garbage = temp_deck("replay-garbage", "{ not a trace");
+    // A well-formed trace whose only read carries no byte count.
+    let byteless = temp_deck(
+        "replay-byteless",
+        r#"{ "traceEvents": [ { "name": "r", "cat": "read", "ph": "X", "ts": 0.0,
+             "dur": 5.0, "pid": 0, "tid": 0 } ], "displayTimeUnit": "ms" }"#,
+    );
+    let cases = [
+        (
+            "{}".to_string(),
+            "scenario 'gpfs': replay needs a 'trace' path".to_string(),
+        ),
+        (
+            format!(r#"{{ "trace": "{}" }}"#, missing.display()),
+            format!(
+                "scenario 'gpfs': cannot read replay trace '{}'",
+                missing.display()
+            ),
+        ),
+        (
+            format!(r#"{{ "trace": "{}" }}"#, garbage.display()),
+            format!(
+                "scenario 'gpfs': cannot parse replay trace '{}'",
+                garbage.display()
+            ),
+        ),
+        (
+            format!(r#"{{ "trace": "{}" }}"#, byteless.display()),
+            format!(
+                "scenario 'gpfs': replay trace '{}' has no read events",
+                byteless.display()
+            ),
+        ),
+    ];
+    for (i, (replay, needle)) in cases.iter().enumerate() {
+        let path = temp_deck(&format!("replay-{i}"), &replay_deck(replay));
+        let out = hcs(&["run", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_dies_with(&out, needle);
+    }
+    let out = hcs(&["replay", byteless.to_str().unwrap(), "gpfs"]);
+    assert_dies_with(&out, "nothing to replay");
+    std::fs::remove_file(&garbage).ok();
+    std::fs::remove_file(&byteless).ok();
+}

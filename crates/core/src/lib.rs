@@ -38,6 +38,7 @@
 pub mod campaign;
 pub mod chaos;
 pub mod graph;
+pub mod loader;
 pub mod metrics;
 pub mod outcome;
 pub mod phase;

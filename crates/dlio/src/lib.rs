@@ -7,10 +7,10 @@
 //! prefetch pipeline hides behind computation is *overlapping*, I/O the
 //! trainer waits for is *non-overlapping* (§VI.A).
 //!
-//! The crate simulates that pipeline per node with a discrete-event
-//! loop over the suite's flow-level storage models, records DFTracer
-//! events for every read and compute interval, and reproduces the
-//! paper's two workloads:
+//! The crate builds that pipeline as a loader pipeline
+//! ([`hcs_core::loader`]), one loader per node, over the suite's
+//! flow-level storage models, records DFTracer events for every read
+//! and compute interval, and reproduces the paper's two workloads:
 //!
 //! * [`workloads::resnet50`] — PyTorch ResNet-50: 1,024 JPEG samples of
 //!   150 KB, batch size one, one epoch, eight I/O threads, weak scaling

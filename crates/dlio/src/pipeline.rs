@@ -7,58 +7,26 @@
 //! asynchronously in conjunction with the compute"):
 //!
 //! * `read_threads` workers each fetch one sample at a time from the
-//!   storage system (a flow through the provisioned resource path,
-//!   rate-capped at the effective per-stream bandwidth with per-op and
-//!   per-file latencies folded in) into a bounded prefetch queue;
+//!   storage system into a bounded prefetch queue;
 //! * the trainer pops `batch_size` samples, computes for
 //!   `compute_time_per_batch`, and repeats; it stalls when the queue is
 //!   empty — that stall is exactly the *non-overlapping I/O* of §VI.A;
 //! * at an epoch boundary the pipeline drains and the dataset is
 //!   re-read.
 //!
-//! Every read and compute interval is recorded as a DFTracer event, and
-//! the result carries the per-node overlap decompositions and the
-//! application/system throughputs of Fig 4–6.
+//! This module builds that pipeline, one [`hcs_core::loader::Loader`]
+//! per node, from a [`DlioConfig`]; the result carries the per-node
+//! overlap decompositions and the application/system throughputs of
+//! Fig 4–6.
 
-use std::collections::BTreeMap;
-
+use hcs_core::loader::{Checkpoints, Loader, LoaderRun};
 use hcs_core::telemetry::Recorder;
 use hcs_core::StorageSystem;
-use hcs_dftrace::{decompose, EventCategory, IoDecomposition, Tracer};
-use hcs_simkit::{FlowId, FlowLogHandle, FlowNet, FlowSpec, IntervalSet};
+use hcs_dftrace::EventCategory;
+use hcs_simkit::{FlowLogHandle, FlowNet, IntervalSet};
 
 use crate::config::DlioConfig;
 use crate::result::DlioResult;
-
-/// Trainer pseudo-thread id in traces.
-const TRAINER_TID: u32 = 1000;
-
-struct NodeState {
-    /// Samples still to fetch this epoch.
-    to_fetch: u64,
-    /// Fetched, unconsumed samples in the prefetch queue.
-    queued: u32,
-    /// Reads currently in flight.
-    in_flight: u32,
-    /// Worker threads not currently reading.
-    idle_threads: u32,
-    /// Samples consumed this epoch.
-    consumed: u64,
-    /// Samples this node fetches per epoch.
-    per_epoch: u64,
-    /// Completed epochs.
-    epoch: u32,
-    /// Whether the trainer is computing, and until when.
-    computing: Option<f64>,
-    /// Whether the trainer is blocked on a synchronous checkpoint.
-    checkpointing: bool,
-}
-
-impl NodeState {
-    fn done(&self, epochs: u32) -> bool {
-        self.epoch >= epochs
-    }
-}
 
 /// Runs a DLIO workload on a storage system at the given node count.
 ///
@@ -101,261 +69,66 @@ fn run_dlio_impl(
     // Optional checkpoint write path: a second provisioning pass adds
     // the write-side resources to the same network, so checkpoint
     // traffic and sample reads contend where they share components.
-    let ckpt = if config.checkpoint_every_batches > 0 {
-        let wphase = config.checkpoint_phase();
-        let wprov = system.provision(&mut net, nodes, 1, &wphase);
-        let cap = wprov.effective_stream_bw(wphase.transfer_size);
-        Some((wprov, cap))
-    } else {
-        None
-    };
+    let wphase = config.checkpoint_phase();
+    let wprov = (config.checkpoint_every_batches > 0)
+        .then(|| system.provision(&mut net, nodes, 1, &wphase));
 
-    // Per-sample service ceiling for one worker thread: the effective
-    // stream bandwidth at the workload's transfer size, with the
-    // per-file open cost folded in for file-per-sample datasets.
-    let eff_stream = prov.effective_stream_bw(config.transfer_size);
-    let meta = if config.file_per_sample {
-        prov.metadata_latency
-    } else {
-        0.0
-    };
-    let sample_cap = if eff_stream.is_finite() && eff_stream > 0.0 {
-        let t = config.sample_bytes / eff_stream + meta;
-        Some(config.sample_bytes / t)
-    } else if meta > 0.0 {
-        Some(config.sample_bytes / meta)
-    } else {
-        None
-    };
-
-    let mut states: Vec<NodeState> = (0..nodes)
+    // One loader per node: the node's samples, read one per request,
+    // and its batches, the final one partial when the batch size does
+    // not divide the node's share.
+    let (batch, step) = (config.batch_size as u64, config.compute_time_per_batch);
+    let loaders = (0..nodes)
         .map(|n| {
             let per_epoch = config.samples_per_node(nodes, n);
-            NodeState {
-                to_fetch: per_epoch,
-                queued: 0,
-                in_flight: 0,
-                idle_threads: config.read_threads,
-                consumed: 0,
-                per_epoch,
-                epoch: if per_epoch == 0 { config.epochs } else { 0 },
-                computing: None,
-                checkpointing: false,
+            Loader {
+                pid: n,
+                path: prov.node_paths[n as usize].clone(),
+                reads: vec![config.sample_bytes; per_epoch as usize],
+                steps: (0..per_epoch)
+                    .step_by(batch as usize)
+                    .map(|k| (step, (per_epoch - k).min(batch) as u32))
+                    .collect(),
+                threads: config.read_threads,
+                depth: config.prefetch_depth,
             }
         })
         .collect();
-
-    let mut tracer = Tracer::new();
-    let mut flows: BTreeMap<FlowId, (u32, u32, f64)> = BTreeMap::new(); // id -> (node, tid, start)
-    let mut ckpt_flows: BTreeMap<FlowId, (u32, f64)> = BTreeMap::new(); // id -> (node, start)
-    let mut next_tid: Vec<u32> = vec![0; nodes as usize];
-
-    // Kick off initial reads on every node.
-    for node in 0..nodes {
-        start_reads(
-            node,
-            &mut states[node as usize],
-            config,
-            &prov.node_paths[node as usize],
-            sample_cap,
-            &mut net,
-            &mut flows,
-            &mut next_tid,
-            0.0,
-        );
-    }
-
-    let mut guard: u64 = 0;
-    let max_events = config.total_sample_reads(nodes) * 6 + 1000;
-    loop {
-        guard += 1;
-        assert!(
-            guard <= max_events,
-            "DLIO pipeline exceeded its event budget"
-        );
-
-        let t_flow = net.next_completion_time();
-        let t_compute = states
-            .iter()
-            .filter_map(|s| s.computing)
-            .fold(f64::INFINITY, f64::min);
-        let t_flow_v = t_flow.unwrap_or(f64::INFINITY);
-
-        if !t_flow_v.is_finite() && !t_compute.is_finite() {
-            break; // quiescent: everything processed
-        }
-
-        if t_flow_v <= t_compute {
-            let t = t_flow_v;
-            net.advance_to(t);
-            for c in net.take_completed() {
-                if let Some((node, start)) = ckpt_flows.remove(&c.id) {
-                    // Synchronous checkpoint finished; the trainer
-                    // resumes.
-                    tracer.complete_with_bytes(
-                        "checkpoint",
-                        EventCategory::Write,
-                        node,
-                        TRAINER_TID,
-                        start,
-                        t,
-                        config.checkpoint_bytes,
-                    );
-                    states[node as usize].checkpointing = false;
-                    try_start_compute(node, &mut states[node as usize], config, &mut tracer, t);
-                    start_reads(
-                        node,
-                        &mut states[node as usize],
-                        config,
-                        &prov.node_paths[node as usize],
-                        sample_cap,
-                        &mut net,
-                        &mut flows,
-                        &mut next_tid,
-                        t,
-                    );
-                    continue;
-                }
-                let (node, tid, start) = flows.remove(&c.id).expect("unknown flow completed");
-                tracer.complete_with_bytes(
-                    "read_sample",
-                    EventCategory::Read,
-                    node,
-                    tid,
-                    start,
-                    t,
-                    config.sample_bytes,
-                );
-                let s = &mut states[node as usize];
-                s.in_flight -= 1;
-                s.idle_threads += 1;
-                s.queued += 1;
-                try_start_compute(node, &mut states[node as usize], config, &mut tracer, t);
-                start_reads(
-                    node,
-                    &mut states[node as usize],
-                    config,
-                    &prov.node_paths[node as usize],
-                    sample_cap,
-                    &mut net,
-                    &mut flows,
-                    &mut next_tid,
-                    t,
-                );
-            }
+    let out = LoaderRun {
+        loaders,
+        epochs: config.epochs,
+        stream_bw: prov.effective_stream_bw(config.transfer_size),
+        // File-per-sample datasets pay the per-file open on every read.
+        open_latency: if config.file_per_sample {
+            prov.metadata_latency
         } else {
-            let t = t_compute;
-            // Keep the flow clock in lockstep so reads started from a
-            // compute completion begin at `t`, not in the past. No flow
-            // finishes strictly before `t` here (t < t_flow).
-            net.advance_to(t);
-            debug_assert!(net.take_completed().is_empty());
-            for node in 0..nodes {
-                let s = &mut states[node as usize];
-                if s.computing.is_some_and(|end| (end - t).abs() < 1e-12) {
-                    s.computing = None;
-                    tracer.complete(
-                        "train_step",
-                        EventCategory::Compute,
-                        node,
-                        TRAINER_TID,
-                        t - config.compute_time_per_batch,
-                        t,
-                    );
-                    s.consumed += (s.per_epoch - s.consumed).min(config.batch_size as u64);
-                    // Synchronous checkpoint every N batches: the
-                    // trainer blocks while the model state streams to
-                    // storage over the write path.
-                    if let Some((wprov, cap)) = &ckpt {
-                        let every = config.checkpoint_every_batches as u64;
-                        if every > 0 && s.consumed % every == 0 {
-                            let mut spec = FlowSpec::new(
-                                wprov.node_paths[node as usize].clone(),
-                                config.checkpoint_bytes,
-                            );
-                            if cap.is_finite() && *cap > 0.0 {
-                                spec = spec.with_rate_cap(*cap);
-                            }
-                            let id = net.add_flow(spec);
-                            ckpt_flows.insert(id, (node, t));
-                            s.checkpointing = true;
-                        }
-                    }
-                    // Epoch boundary: drain, re-shuffle, re-read.
-                    if s.consumed >= s.per_epoch && s.to_fetch == 0 && s.queued == 0 {
-                        s.epoch += 1;
-                        if !s.done(config.epochs) {
-                            s.to_fetch = s.per_epoch;
-                            s.consumed = 0;
-                            start_reads(
-                                node,
-                                s,
-                                config,
-                                &prov.node_paths[node as usize],
-                                sample_cap,
-                                &mut net,
-                                &mut flows,
-                                &mut next_tid,
-                                t,
-                            );
-                        }
-                    }
-                    try_start_compute(node, &mut states[node as usize], config, &mut tracer, t);
-                    // Consuming freed prefetch-queue space; keep the
-                    // worker threads busy.
-                    start_reads(
-                        node,
-                        &mut states[node as usize],
-                        config,
-                        &prov.node_paths[node as usize],
-                        sample_cap,
-                        &mut net,
-                        &mut flows,
-                        &mut next_tid,
-                        t,
-                    );
-                }
-            }
-        }
+            0.0
+        },
+        checkpoints: wprov.as_ref().map(|w| Checkpoints {
+            every: config.checkpoint_every_batches,
+            bytes: config.checkpoint_bytes,
+            paths: w.node_paths.clone(),
+            stream_bw: w.effective_stream_bw(wphase.transfer_size),
+        }),
+        event_names: ("read_sample", "train_step"),
     }
+    .run(&mut net);
 
-    for (n, s) in states.iter().enumerate() {
-        assert!(
-            s.done(config.epochs),
-            "node {n} finished only {} of {} epochs (queued={}, to_fetch={})",
-            s.epoch,
-            config.epochs,
-            s.queued,
-            s.to_fetch
-        );
-    }
-
-    let duration = tracer.span().map(|(a, b)| b - a).unwrap_or(0.0);
-    let per_node: Vec<IoDecomposition> = (0..nodes).map(|n| decompose(&tracer, Some(n))).collect();
-    let mut mean = IoDecomposition::default();
-    for d in &per_node {
-        mean.accumulate(d);
-    }
-    let mean_per_node = mean.scaled(1.0 / nodes as f64);
-
-    let checkpoint_io = {
-        let total: f64 = (0..nodes)
-            .map(|n| {
-                IntervalSet::from_intervals(
-                    tracer
-                        .by_pid(n)
-                        .filter(|e| e.cat == EventCategory::Write)
-                        .map(|e| e.interval()),
-                )
-                .total()
-            })
-            .sum();
-        total / nodes as f64
-    };
+    let checkpoint_io = (0..nodes)
+        .map(|n| {
+            IntervalSet::from_intervals(
+                out.tracer
+                    .by_pid(n)
+                    .filter(|e| e.cat == EventCategory::Write)
+                    .map(|e| e.interval()),
+            )
+            .total()
+        })
+        .sum::<f64>()
+        / nodes as f64;
 
     let mut app = 0.0;
     let mut sys = 0.0;
-    for (n, d) in per_node.iter().enumerate() {
+    for (n, d) in out.per_loader.iter().enumerate() {
         let samples = (config.samples_per_node(nodes, n as u32) * config.epochs as u64) as f64;
         app += d.app_throughput(samples);
         sys += d.system_throughput(samples);
@@ -365,78 +138,26 @@ fn run_dlio_impl(
         // Stage attribution covers both provisioning passes (read path
         // and, when checkpointing, the write path into the same net).
         let mut kinds = prov.stage_kinds.clone();
-        if let Some((wprov, _)) = &ckpt {
-            kinds.extend(wprov.stage_kinds.iter().copied());
+        if let Some(w) = &wprov {
+            kinds.extend(w.stage_kinds.iter().copied());
         }
-        rec.merge_events(&tracer);
+        rec.merge_events(&out.tracer);
         let label = format!("dlio {} {}n", config.name, nodes);
-        rec.absorb_phase(&label, &probe.snapshot(), &kinds, duration);
+        rec.absorb_phase(&label, &probe.snapshot(), &kinds, out.duration);
     }
 
     DlioResult {
         system: system.description(),
         workload: config.name.clone(),
         nodes,
-        duration,
+        duration: out.duration,
         samples_processed: config.total_sample_reads(nodes),
-        per_node,
-        mean_per_node,
+        per_node: out.per_loader,
+        mean_per_node: out.mean,
         app_throughput: app,
         system_throughput: sys,
         checkpoint_io,
-        tracer,
-    }
-}
-
-/// Starts as many reads as threads and queue space allow.
-#[allow(clippy::too_many_arguments)]
-fn start_reads(
-    node: u32,
-    s: &mut NodeState,
-    config: &DlioConfig,
-    path: &[hcs_simkit::ResourceId],
-    sample_cap: Option<f64>,
-    net: &mut FlowNet,
-    flows: &mut BTreeMap<FlowId, (u32, u32, f64)>,
-    next_tid: &mut [u32],
-    now: f64,
-) {
-    while s.idle_threads > 0 && s.to_fetch > 0 && (s.queued + s.in_flight) < config.prefetch_depth {
-        let tid = next_tid[node as usize] % config.read_threads;
-        next_tid[node as usize] += 1;
-        let mut spec = FlowSpec::new(path.to_vec(), config.sample_bytes);
-        if let Some(cap) = sample_cap {
-            spec = spec.with_rate_cap(cap);
-        }
-        let id = net.add_flow(spec);
-        flows.insert(id, (node, tid, now));
-        s.idle_threads -= 1;
-        s.in_flight += 1;
-        s.to_fetch -= 1;
-    }
-}
-
-/// Starts a training step if the trainer is idle and a batch is ready.
-fn try_start_compute(
-    node: u32,
-    s: &mut NodeState,
-    config: &DlioConfig,
-    _tracer: &mut Tracer,
-    now: f64,
-) {
-    let _ = node;
-    if s.computing.is_some()
-        || s.checkpointing
-        || s.consumed >= s.per_epoch
-        || s.epoch >= config.epochs
-    {
-        return;
-    }
-    // The final batch of an epoch may be partial (per_epoch % batch).
-    let remaining = (s.per_epoch - s.consumed).min(config.batch_size as u64) as u32;
-    if s.queued >= remaining && remaining > 0 {
-        s.queued -= remaining;
-        s.computing = Some(now + config.compute_time_per_batch);
+        tracer: out.tracer,
     }
 }
 
@@ -570,6 +291,13 @@ mod tests {
             with.duration,
             plain.duration
         );
+        // The interval counts batches: 64 samples in batches of 4 are
+        // 16 steps, and a checkpoint every 4 batches writes 4.
+        let mut batched = base.with_checkpointing(4, 500e6);
+        batched.batch_size = 4;
+        let r = run_dlio(&sys, &batched, 1);
+        assert_eq!(r.tracer.by_category(&EventCategory::Compute).count(), 16);
+        assert_eq!(r.tracer.by_category(&EventCategory::Write).count(), 4);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use hcs_core::{
     Deck, DeckMetricsSummary, FaultSpec, IoOp, OpLatency, PointMetrics, Reconfigured, Recorder,
     Scenario, StageKind, StorageSystem, Workload,
 };
+use hcs_dftrace::Tracer;
 use hcs_dlio::{run_dlio, run_dlio_traced, DlioResult};
 use hcs_ior::{run_ior, run_ior_with, IorReport, IorRun};
 use hcs_mdtest::{run_mdtest, MdtestReport};
@@ -215,16 +216,14 @@ pub fn build_system(scenario: &Scenario) -> (Box<dyn StorageSystem>, u32) {
     (Box::new(system), entry.full_ppn)
 }
 
-/// Loads the Chrome-format trace a replay scenario names.
-fn load_replay_trace(config: &hcs_core::scenario::ReplayConfig) -> hcs_dftrace::Tracer {
+/// Loads the Chrome-format trace a replay scenario names and checks
+/// that it has replayable reads.
+fn load_replay_trace(config: &hcs_core::scenario::ReplayConfig) -> Result<Tracer, String> {
     let path = config
         .trace
         .as_deref()
-        .expect("replay scenario needs a 'trace' path to a Chrome-format trace");
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read replay trace '{path}': {e}"));
-    hcs_dftrace::chrome::from_json(&json)
-        .unwrap_or_else(|e| panic!("cannot parse replay trace '{path}': {e:?}"))
+        .ok_or("replay needs a 'trace' path to a Chrome-format trace")?;
+    hcs_replay::load_trace(path)
 }
 
 /// Runs one already-resolved workload on a system. The low-level
@@ -241,13 +240,16 @@ pub fn run_workload_on(
         Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio(system, c, nodes)),
         Workload::Mdtest(c) => WorkloadOutcome::Mdtest(run_mdtest(system, c)),
         Workload::Job(j) => WorkloadOutcome::Job(j.run(system, nodes, ppn)),
-        Workload::Replay(c) => WorkloadOutcome::Replay(replay(&load_replay_trace(c), system, c)),
+        Workload::Replay(c) => {
+            let trace = load_replay_trace(c).unwrap_or_else(|e| panic!("{e}"));
+            WorkloadOutcome::Replay(replay(&trace, system, c))
+        }
     }
 }
 
 /// [`run_workload_on`] with telemetry. MDTest and replay have no traced
-/// twins (their engines predate the recorder), so those families run
-/// untraced and only contribute their results.
+/// twins, so those families run untraced and only contribute their
+/// results.
 pub fn run_workload_on_traced(
     system: &dyn StorageSystem,
     workload: &Workload,
@@ -293,8 +295,9 @@ fn open_loop_latency(workload: &Workload, open: &OpenLoopOutcome) -> Vec<OpLaten
 /// the first problem: an unknown system name, fault injection or
 /// open-loop arrivals on a workload family that does not support them
 /// (IOR only today), a malformed fault window or arrival spec, an
-/// `offered_load` sweep over a closed-loop base, or a fault targeting a
-/// stage the scenario's deployment plan does not contain. `hcs run`
+/// `offered_load` sweep over a closed-loop base, a fault targeting a
+/// stage the scenario's deployment plan does not contain, or a replay
+/// trace that is missing, unparseable or has no replayable reads. `hcs run`
 /// calls this up front so bad decks exit with a message instead of a
 /// panic backtrace.
 ///
@@ -335,6 +338,9 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
                 scenario.name,
                 scenario.workload.kind()
             ));
+        }
+        if let Workload::Replay(c) = &scenario.workload {
+            load_replay_trace(c).map_err(|e| format!("scenario '{}': {e}", scenario.name))?;
         }
         if scenario.faults.is_empty() {
             continue;

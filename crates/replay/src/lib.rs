@@ -15,8 +15,10 @@
 //! * the ordered list of compute steps (durations from the trace),
 //! * the worker-thread count (distinct reader `tid`s observed),
 //!
-//! and re-executes the same bounded-prefetch pipeline against the
-//! target [`StorageSystem`], producing a fresh trace and overlap
+//! and builds one loader pipeline from them: one
+//! [`hcs_core::loader::Loader`] per process, each step consuming one
+//! read, run by the same engine as DLIO against the target
+//! [`StorageSystem`]. It produces a fresh trace and overlap
 //! decomposition. Replaying a trace against the system that produced it
 //! reproduces the original timings — the suite's end-to-end
 //! self-consistency check (see `replay_is_self_consistent`).
@@ -24,13 +26,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
+use hcs_core::loader::{Loader, LoaderRun};
 use hcs_core::{PhaseSpec, StorageSystem};
-use hcs_dftrace::{decompose, EventCategory, IoDecomposition, Tracer};
-use hcs_simkit::{FlowId, FlowNet, FlowSpec};
+use hcs_dftrace::{EventCategory, IoDecomposition, Tracer};
+use hcs_simkit::FlowNet;
 
 /// What was extracted from the source trace for one process.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -114,14 +115,19 @@ fn median(xs: &[f64]) -> f64 {
     v[v.len() / 2]
 }
 
-struct ProcState {
-    next_read: usize,
-    next_compute: usize,
-    queued: u32,
-    in_flight: u32,
-    idle_threads: u32,
-    computing: Option<(f64, f64)>, // (end, duration)
-    depth: u32,
+/// Loads a Chrome-format trace from `path` and checks that it has
+/// replayable reads; the error is a one-line diagnostic naming the file.
+pub fn load_trace(path: &str) -> Result<Tracer, String> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read replay trace '{path}': {e}"))?;
+    let tracer = hcs_dftrace::chrome::from_json(&json)
+        .map_err(|e| format!("cannot parse replay trace '{path}': {e}"))?;
+    if extract_profiles(&tracer).is_empty() {
+        return Err(format!(
+            "replay trace '{path}' has no read events with byte counts; nothing to replay"
+        ));
+    }
+    Ok(tracer)
 }
 
 /// Replays a trace against a target storage system.
@@ -154,193 +160,40 @@ pub fn replay(tracer: &Tracer, system: &dyn StorageSystem, config: &ReplayConfig
     let file_per_read = config.file_per_read.unwrap_or(ts < 1024.0 * 1024.0);
     let mut net = FlowNet::new();
     let prov = system.provision(&mut net, nodes, 1, &phase);
-    let stream_cap = prov.effective_stream_bw(ts);
-    let meta = if file_per_read {
-        prov.metadata_latency
-    } else {
-        0.0
-    };
-
-    let mut states: Vec<ProcState> = profiles
+    let loaders = profiles
         .iter()
-        .map(|p| ProcState {
-            next_read: 0,
-            next_compute: 0,
-            queued: 0,
-            in_flight: 0,
-            idle_threads: p.threads,
-            computing: None,
+        .zip(&prov.node_paths)
+        .map(|(p, path)| Loader {
+            pid: p.pid,
+            path: path.clone(),
+            reads: p.reads.clone(),
+            steps: p.computes.iter().map(|&d| (d, 1)).collect(),
+            threads: p.threads,
             depth: config.prefetch_depth.unwrap_or(2 * p.threads).max(1),
         })
         .collect();
-
-    let mut out = Tracer::new();
-    let mut flows: BTreeMap<FlowId, (usize, u32, f64)> = BTreeMap::new();
-    let mut tid_counter: Vec<u32> = vec![0; profiles.len()];
-
-    let start_reads = |i: usize,
-                       states: &mut [ProcState],
-                       net: &mut FlowNet,
-                       flows: &mut BTreeMap<FlowId, (usize, u32, f64)>,
-                       tid_counter: &mut [u32],
-                       now: f64,
-                       profiles: &[ProcessProfile],
-                       prov_paths: &[Vec<hcs_simkit::ResourceId>]| {
-        let s = &mut states[i];
-        let p = &profiles[i];
-        while s.idle_threads > 0
-            && s.next_read < p.reads.len()
-            && (s.queued + s.in_flight) < s.depth
-        {
-            let bytes = p.reads[s.next_read].max(1.0);
-            s.next_read += 1;
-            let tid = tid_counter[i] % p.threads;
-            tid_counter[i] += 1;
-            let mut spec = FlowSpec::new(prov_paths[i].clone(), bytes);
-            // Fold the per-file open cost into this request's rate so a
-            // blocking thread's sample cadence matches the target
-            // system's metadata path.
-            let cap = if stream_cap.is_finite() && stream_cap > 0.0 {
-                Some(bytes / (bytes / stream_cap + meta))
-            } else if meta > 0.0 {
-                Some(bytes / meta)
-            } else {
-                None
-            };
-            if let Some(cap) = cap {
-                spec = spec.with_rate_cap(cap);
-            }
-            let id = net.add_flow(spec);
-            flows.insert(id, (i, tid, now));
-            s.idle_threads -= 1;
-            s.in_flight += 1;
-        }
-    };
-
-    let try_compute =
-        |i: usize, states: &mut [ProcState], now: f64, profiles: &[ProcessProfile]| {
-            let s = &mut states[i];
-            let p = &profiles[i];
-            if s.computing.is_none() && s.queued >= 1 && s.next_compute < p.computes.len() {
-                s.queued -= 1;
-                let dur = p.computes[s.next_compute];
-                s.next_compute += 1;
-                s.computing = Some((now + dur, dur));
-            }
-        };
-
-    for i in 0..profiles.len() {
-        start_reads(
-            i,
-            &mut states,
-            &mut net,
-            &mut flows,
-            &mut tid_counter,
-            0.0,
-            &profiles,
-            &prov.node_paths,
-        );
-    }
-
-    let total_events: usize = profiles
-        .iter()
-        .map(|p| p.reads.len() + p.computes.len())
-        .sum();
-    let mut guard = 0usize;
-    loop {
-        guard += 1;
-        assert!(
-            guard <= total_events * 4 + 100,
-            "replay exceeded event budget"
-        );
-        let t_flow = net.next_completion_time().unwrap_or(f64::INFINITY);
-        let t_compute = states
-            .iter()
-            .filter_map(|s| s.computing.map(|(e, _)| e))
-            .fold(f64::INFINITY, f64::min);
-        if !t_flow.is_finite() && !t_compute.is_finite() {
-            break;
-        }
-        if t_flow <= t_compute {
-            net.advance_to(t_flow);
-            for c in net.take_completed() {
-                let (i, tid, start) = flows.remove(&c.id).expect("unknown flow");
-                let bytes = profiles[i].reads[..states[i].next_read]
-                    .last()
-                    .copied()
-                    .unwrap_or(ts);
-                out.complete_with_bytes(
-                    "read",
-                    EventCategory::Read,
-                    profiles[i].pid,
-                    tid,
-                    start,
-                    t_flow,
-                    bytes,
-                );
-                states[i].in_flight -= 1;
-                states[i].idle_threads += 1;
-                states[i].queued += 1;
-                try_compute(i, &mut states, t_flow, &profiles);
-                start_reads(
-                    i,
-                    &mut states,
-                    &mut net,
-                    &mut flows,
-                    &mut tid_counter,
-                    t_flow,
-                    &profiles,
-                    &prov.node_paths,
-                );
-            }
+    let out = LoaderRun {
+        loaders,
+        epochs: 1,
+        stream_bw: prov.effective_stream_bw(ts),
+        // The per-file open cost, folded into each read's rate so a
+        // blocking thread's cadence matches the target's metadata path.
+        open_latency: if file_per_read {
+            prov.metadata_latency
         } else {
-            net.advance_to(t_compute);
-            for i in 0..profiles.len() {
-                if let Some((end, dur)) = states[i].computing {
-                    if (end - t_compute).abs() < 1e-12 {
-                        states[i].computing = None;
-                        out.complete(
-                            "compute",
-                            EventCategory::Compute,
-                            profiles[i].pid,
-                            1000,
-                            t_compute - dur,
-                            t_compute,
-                        );
-                        try_compute(i, &mut states, t_compute, &profiles);
-                        start_reads(
-                            i,
-                            &mut states,
-                            &mut net,
-                            &mut flows,
-                            &mut tid_counter,
-                            t_compute,
-                            &profiles,
-                            &prov.node_paths,
-                        );
-                    }
-                }
-            }
-        }
+            0.0
+        },
+        checkpoints: None,
+        event_names: ("read", "compute"),
     }
-
-    let per_process: Vec<IoDecomposition> = profiles
-        .iter()
-        .map(|p| decompose(&out, Some(p.pid)))
-        .collect();
-    let mut mean = IoDecomposition::default();
-    for d in &per_process {
-        mean.accumulate(d);
-    }
-    let mean = mean.scaled(1.0 / per_process.len() as f64);
-    let duration = out.span().map(|(a, b)| b - a).unwrap_or(0.0);
+    .run(&mut net);
 
     ReplayResult {
         system: system.description(),
-        duration,
-        per_process,
-        mean,
-        tracer: out,
+        duration: out.duration,
+        per_process: out.per_loader,
+        mean: out.mean,
+        tracer: out.tracer,
     }
 }
 
@@ -410,6 +263,61 @@ mod tests {
         let a = replay(&loaded, &vast, &ReplayConfig::default());
         let b = replay(&r.tracer, &vast, &ReplayConfig::default());
         assert_eq!(a.duration, b.duration);
+    }
+
+    #[test]
+    fn replay_timings_are_pinned() {
+        // IEEE-754 bit patterns of (duration, mean io_total, mean
+        // non_overlapping_io) for 2-node smoke traces captured on
+        // VAST@Lassen and replayed against VAST@Lassen, then GPFS.
+        let pinned: [[u64; 3]; 4] = [
+            [0x3ff4877b14c16bae, 0x3fc3b0506e383a2c, 0x3f69339a26ae5f00],
+            [0x3ff47d6b65a9a808, 0x3f9fbe76c8b43855, 0x3f4450efdc9c4dc0],
+            [0x3ffebfc46bfc46c0, 0x3ffdca01dca01dcc, 0x3feec736ec736ee0],
+            [0x3fef21ab4b72c501, 0x3fe7866e43aa79b6, 0x3f8a5657fb699840],
+        ];
+        let vast = vast_on_lassen();
+        let gpfs = GpfsConfig::on_lassen();
+        let targets: [&dyn StorageSystem; 2] = [&vast, &gpfs];
+        let mut got = Vec::new();
+        for cfg in [resnet50().smoke(), hcs_dlio::cosmoflow().smoke()] {
+            let source = run_dlio(&vast, &cfg, 2);
+            for sys in targets {
+                let r = replay(&source.tracer, sys, &ReplayConfig::default());
+                let m = &r.mean;
+                got.push([r.duration, m.io_total, m.non_overlapping_io].map(f64::to_bits));
+            }
+        }
+        assert_eq!(got, pinned);
+    }
+
+    #[test]
+    fn replayed_reads_record_their_own_bytes() {
+        // One process, two reader threads, reads of 1, 4, 2 and 8 MB:
+        // each replayed read event carries the size of the read that
+        // completed, not of the one issued last.
+        let mut t = Tracer::new();
+        for (k, mb) in [1.0, 4.0, 2.0, 8.0].into_iter().enumerate() {
+            let at = k as f64 * 0.01;
+            let (pid, tid) = (0, k as u32 % 2);
+            t.complete_with_bytes("r", EventCategory::Read, pid, tid, at, at + 0.005, mb * 1e6);
+            t.complete(
+                "c",
+                EventCategory::Compute,
+                pid,
+                1000,
+                at + 0.005,
+                at + 0.01,
+            );
+        }
+        let r = replay(&t, &GpfsConfig::on_lassen(), &ReplayConfig::default());
+        let mut bytes: Vec<f64> = r
+            .tracer
+            .by_category(&EventCategory::Read)
+            .map(|e| e.bytes.expect("read bytes"))
+            .collect();
+        bytes.sort_by(f64::total_cmp);
+        assert_eq!(bytes, [1e6, 2e6, 4e6, 8e6]);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! recomputations, so simulated time advances in O(#rate-changes)
 //! rather than O(#bytes). [`flownet::FlowNet::drive`] is the drive
 //! loop for I/O phases: it interleaves flow completions with timed
-//! capacity events and open-loop arrivals. DLIO and trace replay step
-//! the same `FlowNet` directly ([`flownet::FlowNet::next_completion_time`],
-//! [`flownet::FlowNet::advance_to`]) so they can interleave their own
-//! compute events with flow completions.
+//! capacity events and open-loop arrivals. The data-loader pipeline
+//! behind DLIO and trace replay (`hcs_core::loader`) steps the same
+//! `FlowNet` directly ([`flownet::FlowNet::next_completion_time`],
+//! [`flownet::FlowNet::advance_to`]) to interleave compute steps with
+//! flow completions.
 //!
 //! Supporting modules: [`faults`] (deterministic timed capacity
 //! schedules — outages, degradations, recoveries — consumed by the
