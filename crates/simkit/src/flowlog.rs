@@ -141,12 +141,14 @@ impl FlowRecorder for Probe {
 pub struct FlowLogHandle(Rc<RefCell<FlowLog>>);
 
 impl FlowLogHandle {
-    /// Creates a probe, installs it into `net`, and returns the handle.
-    /// Attach before adding flows to observe complete lifecycles
-    /// (already-registered resources are replayed automatically).
+    /// Creates a probe, installs it into `net` *alongside* any recorder
+    /// already attached (via [`FlowNet::stack_recorder`]), and returns
+    /// the handle. Attach before adding flows to observe complete
+    /// lifecycles (already-registered resources are replayed
+    /// automatically).
     pub fn attach(net: &mut FlowNet) -> Self {
         let log = Rc::new(RefCell::new(FlowLog::default()));
-        net.set_recorder(Box::new(Probe(Rc::clone(&log))));
+        net.stack_recorder(Box::new(Probe(Rc::clone(&log))));
         FlowLogHandle(log)
     }
 

@@ -43,20 +43,29 @@
 //!
 //! Rates are a pure function of the active flow set and capacities, and
 //! the constraint graph (flows ↔ resources) decomposes into connected
-//! components that share nothing. `recompute_rates` therefore keeps
-//! per-resource membership sets plus a dirty set seeded by each event
-//! (flow start/finish, capacity change) and re-solves only the
-//! components reachable from a dirty seed; untouched components keep
-//! their cached rates, which are bit-equal to what a fresh solve would
-//! produce. Debug builds re-derive every rate from scratch after each
-//! epoch and assert bit-equality (the differential oracle).
+//! components that share nothing. Each event marks what it touched: a
+//! flow start or finish and a capacity change set a dirty bit on the
+//! resources involved, and a new flow is *fresh* until its first solve.
+//! A solve rebuilds the components with one union-find pass over the
+//! active flows' paths and re-solves only those holding a dirty
+//! resource or a fresh path-less flow (a path-less flow is its own
+//! component). Untouched components keep their cached rates, which are
+//! bit-equal to what a fresh solve would produce. The solver's buffers
+//! live in the network and are reused, so a solve allocates nothing
+//! once they have grown. Debug builds re-derive every rate from scratch
+//! after each epoch and assert bit-equality (the differential oracle,
+//! [`FlowNet::scratch_rates`]).
 //!
 //! # Determinism
 //!
-//! Flows are kept in a `BTreeMap` keyed by creation order; the allocation
-//! loop iterates in that order, so allocations are bit-reproducible.
+//! Active flows live in one flat table in ascending creation-order key:
+//! keys are issued in increasing order, so a start appends, and a
+//! finish or cancellation removes in place without reordering. The
+//! filling loop walks a component's flows in that order and its
+//! resources in ascending index, so every floating-point sum
+//! accumulates in the same order on every run; completions, recorder
+//! events and rate samples come out in key order too.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::faults::{FaultRunReport, FaultTimeline, StallError};
@@ -243,6 +252,17 @@ impl ResourceSpec {
         self.instances = m;
         self
     }
+
+    /// Per-instance member count a flow group of `multiplicity` members
+    /// loads onto this resource: `multiplicity / instances`. For a
+    /// plain resource (`instances == 1`) this is exactly `multiplicity
+    /// as f64` (division by 1.0 is an identity); for an aggregate whose
+    /// members divide evenly the IEEE quotient is exact, so aggregated
+    /// arithmetic is bit-identical to expanded.
+    #[inline]
+    fn share(&self, multiplicity: u32) -> f64 {
+        multiplicity as f64 / self.instances as f64
+    }
 }
 
 /// Optional operation identity carried by a flow and echoed on its
@@ -352,9 +372,21 @@ impl FlowSpec {
     }
 }
 
+/// One resource on a flow's path, with the per-instance member count
+/// the flow loads onto it ([`ResourceSpec::share`]). Instance counts
+/// never change, so the share is computed once, at admission.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    /// [`ResourceId::index`] of the resource.
+    res: usize,
+    share: f64,
+}
+
 #[derive(Clone, Debug)]
 struct Flow {
-    path: Vec<ResourceId>,
+    /// Creation-order key ([`FlowId::raw`]).
+    key: u64,
+    path: Vec<Hop>,
     remaining: f64,
     multiplicity: u32,
     rate_cap: Option<f64>,
@@ -364,6 +396,9 @@ struct Flow {
     submitted_at: f64,
     /// Current per-member rate, valid when `rates_valid`.
     rate: f64,
+    /// Not solved yet. Only a path-less flow needs the bit: a flow with
+    /// a path dirties its resources, which schedules its component.
+    fresh: bool,
 }
 
 /// A completed flow as reported by [`FlowNet::take_completed`].
@@ -388,7 +423,8 @@ pub struct Completion {
 /// The flow-sharing network: resources plus currently active flows.
 pub struct FlowNet {
     resources: Vec<ResourceSpec>,
-    flows: BTreeMap<u64, Flow>,
+    /// Active flows in ascending key order (see the module docs).
+    flows: Vec<Flow>,
     next_flow: u64,
     /// Expanded-equivalent flow groups started (Σ `represents`), the
     /// value [`FlowNet::flows_started`] reports.
@@ -400,15 +436,13 @@ pub struct FlowNet {
     /// run) — a plain integer add on the solver path, kept whether or
     /// not anything observes it.
     rate_epochs: u64,
-    /// Active flow keys crossing each resource, parallel to
-    /// `resources` — the constraint-graph adjacency the incremental
-    /// solver walks.
-    members: Vec<BTreeSet<u64>>,
-    /// Flows added since the last solve.
-    dirty_flows: BTreeSet<u64>,
-    /// Resources whose constraint set changed since the last solve
-    /// (capacity change, or a crossing flow finished/cancelled).
-    dirty_resources: BTreeSet<u32>,
+    /// Per resource (parallel to `resources`): its constraint set
+    /// changed since the last solve — a crossing flow started, finished
+    /// or was cancelled, or its capacity changed — so its component
+    /// must re-solve.
+    dirty: Vec<bool>,
+    /// The solver's buffers, reused by every solve.
+    scratch: SolveScratch,
     /// Optional pure listener; never consulted for any computation.
     recorder: Option<Box<dyn FlowRecorder>>,
 }
@@ -424,16 +458,15 @@ impl FlowNet {
     pub fn new() -> Self {
         FlowNet {
             resources: Vec::new(),
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             next_flow: 0,
             started: 0,
             now: 0.0,
             rates_valid: true,
             completed: Vec::new(),
             rate_epochs: 0,
-            members: Vec::new(),
-            dirty_flows: BTreeSet::new(),
-            dirty_resources: BTreeSet::new(),
+            dirty: Vec::new(),
+            scratch: SolveScratch::default(),
             recorder: None,
         }
     }
@@ -457,23 +490,14 @@ impl FlowNet {
         self.started
     }
 
-    /// Installs a [`FlowRecorder`]. Resources registered so far are
-    /// replayed into it immediately so attachment order does not matter
-    /// for the resource table; flows already active are *not* replayed —
-    /// attach before adding flows to observe complete lifecycles.
-    pub fn set_recorder(&mut self, mut recorder: Box<dyn FlowRecorder>) {
-        for (i, r) in self.resources.iter().enumerate() {
-            recorder.on_resource(ResourceId(i as u32), &r.name, r.capacity);
-        }
-        self.recorder = Some(recorder);
-    }
-
-    /// Installs an *additional* [`FlowRecorder`] without disturbing one
-    /// already attached. Resources registered so far are replayed into
-    /// the new recorder only (the existing one already saw them), and
-    /// the two are combined into a [`TeeRecorder`] that forwards every
-    /// hook to both. With no recorder attached this is exactly
-    /// [`FlowNet::set_recorder`].
+    /// Installs a [`FlowRecorder`] beside any already attached, without
+    /// disturbing them: the recorders are combined into a
+    /// [`TeeRecorder`] that forwards every hook to each in attach order.
+    /// Resources registered so far are replayed into the new recorder
+    /// only (the existing ones already saw them), so attachment order
+    /// does not matter for the resource table. Flows already active are
+    /// *not* replayed — attach before adding flows to observe complete
+    /// lifecycles.
     pub fn stack_recorder(&mut self, mut recorder: Box<dyn FlowRecorder>) {
         for (i, r) in self.resources.iter().enumerate() {
             recorder.on_resource(ResourceId(i as u32), &r.name, r.capacity);
@@ -500,12 +524,11 @@ impl FlowNet {
         );
         assert!(spec.instances >= 1, "instances must be >= 1");
         let id = ResourceId(u32::try_from(self.resources.len()).expect("too many resources"));
-        if let Some(mut rec) = self.recorder.take() {
+        if let Some(rec) = &mut self.recorder {
             rec.on_resource(id, &spec.name, spec.capacity);
-            self.recorder = Some(rec);
         }
         self.resources.push(spec);
-        self.members.push(BTreeSet::new());
+        self.dirty.push(false);
         id
     }
 
@@ -551,10 +574,9 @@ impl FlowNet {
         );
         self.resources[id.index()].capacity = capacity;
         self.rates_valid = false;
-        self.dirty_resources.insert(id.0);
-        if let Some(mut rec) = self.recorder.take() {
+        self.dirty[id.index()] = true;
+        if let Some(rec) = &mut self.recorder {
             rec.on_capacity_change(self.now, id, capacity);
-            self.recorder = Some(rec);
         }
     }
 
@@ -590,56 +612,53 @@ impl FlowNet {
         let key = self.next_flow;
         self.next_flow += 1;
         self.started += spec.represents as u64;
-        if let Some(mut rec) = self.recorder.take() {
+        if let Some(rec) = &mut self.recorder {
             rec.on_flow_start(self.now, FlowId(key), &spec);
-            self.recorder = Some(rec);
         }
+        let mut path = Vec::with_capacity(spec.path.len());
         for r in &spec.path {
-            self.members[r.index()].insert(key);
+            self.dirty[r.index()] = true;
+            path.push(Hop {
+                res: r.index(),
+                share: self.resources[r.index()].share(spec.multiplicity),
+            });
         }
-        self.flows.insert(
+        self.flows.push(Flow {
             key,
-            Flow {
-                path: spec.path,
-                remaining: spec.bytes,
-                multiplicity: spec.multiplicity,
-                rate_cap: spec.rate_cap,
-                weight: spec.weight,
-                tag: spec.tag,
-                op: spec.op,
-                submitted_at,
-                rate: 0.0,
-            },
-        );
+            path,
+            remaining: spec.bytes,
+            multiplicity: spec.multiplicity,
+            rate_cap: spec.rate_cap,
+            weight: spec.weight,
+            tag: spec.tag,
+            op: spec.op,
+            submitted_at,
+            rate: 0.0,
+            fresh: true,
+        });
         self.rates_valid = false;
-        self.dirty_flows.insert(key);
         FlowId(key)
     }
 
     /// Cancels an active flow. Returns `true` if it existed.
     pub fn cancel(&mut self, id: FlowId) -> bool {
-        let removed = self.flows.remove(&id.0);
-        if let Some(f) = removed {
-            self.forget_flow(id.0, &f.path);
-            self.rates_valid = false;
-            if let Some(mut rec) = self.recorder.take() {
-                rec.on_flow_end(self.now, id, f.tag, false);
-                self.recorder = Some(rec);
-            }
-            true
-        } else {
-            false
+        let Some(slot) = self.slot(id) else {
+            return false;
+        };
+        let f = self.flows.remove(slot);
+        for h in &f.path {
+            self.dirty[h.res] = true;
         }
+        self.rates_valid = false;
+        if let Some(rec) = &mut self.recorder {
+            rec.on_flow_end(self.now, id, f.tag, false);
+        }
+        true
     }
 
-    /// Removes a departed flow from the adjacency and dirties the
-    /// resources it crossed so their components re-solve.
-    fn forget_flow(&mut self, key: u64, path: &[ResourceId]) {
-        self.dirty_flows.remove(&key);
-        for r in path {
-            self.members[r.index()].remove(&key);
-            self.dirty_resources.insert(r.0);
-        }
+    /// The table slot of an active flow.
+    fn slot(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id.0, |f| f.key).ok()
     }
 
     /// Number of active flow groups.
@@ -650,12 +669,12 @@ impl FlowNet {
     /// Current per-member rate of a flow, if active.
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.flows.get(&id.0).map(|f| f.rate)
+        self.slot(id).map(|s| self.flows[s].rate)
     }
 
     /// Remaining bytes (per member) of a flow, if active.
     pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| f.remaining)
+        self.slot(id).map(|s| self.flows[s].remaining)
     }
 
     /// Aggregate throughput currently allocated across all flows
@@ -663,7 +682,7 @@ impl FlowNet {
     pub fn aggregate_rate(&mut self) -> f64 {
         self.ensure_rates();
         self.flows
-            .values()
+            .iter()
             .map(|f| f.rate * f.multiplicity as f64)
             .sum()
     }
@@ -673,7 +692,7 @@ impl FlowNet {
     pub fn next_completion_time(&mut self) -> Option<f64> {
         self.ensure_rates();
         let mut best: Option<f64> = None;
-        for f in self.flows.values() {
+        for f in &self.flows {
             if f.rate > 0.0 {
                 let t = self.now + f.remaining / f.rate;
                 best = Some(match best {
@@ -702,35 +721,44 @@ impl FlowNet {
         let dt = (t - self.now).max(0.0);
         if dt > 0.0 {
             self.ensure_rates();
-            for f in self.flows.values_mut() {
+            for f in &mut self.flows {
                 f.remaining -= f.rate * dt;
             }
         }
         self.now = t;
-        // Collect completions deterministically (BTreeMap order).
-        let done: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= f.rate.max(1.0) * REL_EPS * self.now.max(1.0) + 1e-6)
-            .map(|(k, _)| *k)
-            .collect();
-        if !done.is_empty() {
-            for k in done {
-                let f = self.flows.remove(&k).expect("flow disappeared");
-                self.forget_flow(k, &f.path);
-                if let Some(mut rec) = self.recorder.take() {
-                    rec.on_flow_end(self.now, FlowId(k), f.tag, true);
-                    self.recorder = Some(rec);
-                }
-                self.completed.push(Completion {
-                    id: FlowId(k),
-                    tag: f.tag,
-                    at: self.now,
-                    submitted_at: f.submitted_at,
-                    latency: self.now - f.submitted_at,
-                    op: f.op,
-                });
+        // Completions leave the table in one order-keeping pass, so they
+        // are reported in ascending key order.
+        let now = self.now;
+        let active = self.flows.len();
+        let FlowNet {
+            flows,
+            dirty,
+            completed,
+            recorder,
+            ..
+        } = self;
+        flows.retain(|f| {
+            let done = f.remaining <= f.rate.max(1.0) * REL_EPS * now.max(1.0) + 1e-6;
+            if !done {
+                return true;
             }
+            for h in &f.path {
+                dirty[h.res] = true;
+            }
+            if let Some(rec) = recorder {
+                rec.on_flow_end(now, FlowId(f.key), f.tag, true);
+            }
+            completed.push(Completion {
+                id: FlowId(f.key),
+                tag: f.tag,
+                at: now,
+                submitted_at: f.submitted_at,
+                latency: now - f.submitted_at,
+                op: f.op,
+            });
+            false
+        });
+        if self.flows.len() < active {
             self.rates_valid = false;
         }
     }
@@ -871,12 +899,12 @@ impl FlowNet {
     fn stall_error(&mut self) -> StallError {
         self.ensure_rates();
         let mut starved: Vec<String> = Vec::new();
-        for f in self.flows.values() {
+        for f in &self.flows {
             if f.rate > 0.0 {
                 continue;
             }
-            for r in &f.path {
-                let spec = &self.resources[r.index()];
+            for h in &f.path {
+                let spec = &self.resources[h.res];
                 if spec.capacity <= 0.0 && !starved.contains(&spec.name) {
                     starved.push(spec.name.clone());
                 }
@@ -899,211 +927,55 @@ impl FlowNet {
         // One allocation sample per rate epoch. The recorder is a pure
         // listener, so emitting (or not emitting) a sample cannot change
         // any simulated value.
-        if self.recorder.is_some() {
+        if let Some(rec) = &mut self.recorder {
             let mut alloc = vec![0.0; self.resources.len()];
             let mut samples = Vec::with_capacity(self.flows.len());
-            for (k, f) in &self.flows {
-                for r in &f.path {
-                    alloc[r.index()] += f.rate * self.share(f.multiplicity, r.index());
+            for f in &self.flows {
+                for h in &f.path {
+                    alloc[h.res] += f.rate * h.share;
                 }
                 // Standalone rate at the *current* capacities — what the
                 // flow would get with the network to itself.
                 let mut demand = f.rate_cap.unwrap_or(f64::INFINITY);
-                for r in &f.path {
-                    demand = demand.min(
-                        self.resources[r.index()].capacity / self.share(f.multiplicity, r.index()),
-                    );
+                for h in &f.path {
+                    demand = demand.min(self.resources[h.res].capacity / h.share);
                 }
                 samples.push(EpochFlowSample {
-                    id: FlowId(*k),
+                    id: FlowId(f.key),
                     rate: f.rate,
                     demand,
                 });
             }
             let caps: Vec<f64> = self.resources.iter().map(|r| r.capacity).collect();
-            let mut rec = self.recorder.take().expect("recorder present");
             rec.on_allocation(self.now, &alloc, &caps);
             rec.on_epoch_rates(self.now, &samples, &alloc, &caps);
-            self.recorder = Some(rec);
         }
-    }
-
-    /// Per-instance member count a flow group loads onto resource `ri`:
-    /// `multiplicity / instances`. For a plain resource (`instances ==
-    /// 1`) this is exactly `multiplicity as f64` (division by 1.0 is an
-    /// identity); for an aggregate whose members divide evenly the IEEE
-    /// quotient is exact, so aggregated arithmetic is bit-identical to
-    /// expanded.
-    #[inline]
-    fn share(&self, multiplicity: u32, ri: usize) -> f64 {
-        multiplicity as f64 / self.resources[ri].instances as f64
     }
 
     /// Weighted max-min fair allocation, solved incrementally.
     ///
     /// The constraint graph decomposes into connected components (flows
     /// joined by shared resources); each component's allocation is
-    /// independent of every other's. Only components reachable from a
-    /// dirty seed — a flow added, a resource whose capacity or crossing
-    /// set changed — are re-solved by progressive filling; the rest
-    /// keep their cached rates, which a fresh solve would reproduce
-    /// bit-for-bit (the allocation is a pure function of component
-    /// state, and the fill iterates in deterministic key order).
+    /// independent of every other's. Only components holding a dirty
+    /// resource or a fresh path-less flow are re-solved by progressive
+    /// filling; the rest keep their cached rates, which a fresh solve
+    /// would reproduce bit-for-bit (the allocation is a pure function of
+    /// component state, and the fill iterates in ascending key order).
     fn recompute_rates(&mut self) {
-        // Seeds: flows added since the last solve, plus every flow
-        // crossing a dirtied resource.
-        let mut seeds: Vec<u64> = self.dirty_flows.iter().copied().collect();
-        for r in &self.dirty_resources {
-            seeds.extend(self.members[*r as usize].iter().copied());
+        let n_comp =
+            self.scratch
+                .components(&self.flows, self.resources.len(), Some(&mut self.dirty));
+        for c in 0..n_comp {
+            self.scratch.fill(c, &self.flows, &self.resources);
         }
-        self.dirty_flows.clear();
-        self.dirty_resources.clear();
-
-        let mut visited_flows: BTreeSet<u64> = BTreeSet::new();
-        let mut visited_res = vec![false; self.resources.len()];
-        let mut scratch = SolveScratch::new(self.resources.len());
-        let mut rates: Vec<(u64, f64)> = Vec::new();
-        for s in seeds {
-            if !self.flows.contains_key(&s) || visited_flows.contains(&s) {
-                continue;
-            }
-            let (comp_flows, comp_res) = self.component(s, &mut visited_flows, &mut visited_res);
-            rates.clear();
-            self.fill_component(&comp_flows, &comp_res, &mut scratch, &mut rates);
-            for (k, rate) in &rates {
-                self.flows.get_mut(k).expect("flow").rate = *rate;
-            }
+        for &(slot, rate) in &self.scratch.out {
+            let f = &mut self.flows[slot as usize];
+            f.rate = rate;
+            f.fresh = false;
         }
 
         #[cfg(debug_assertions)]
         self.assert_rates_match_scratch();
-    }
-
-    /// Collects the connected component of `seed` (BFS over the flow ↔
-    /// resource adjacency), returning its flow keys and resource
-    /// indices in ascending order.
-    fn component(
-        &self,
-        seed: u64,
-        visited_flows: &mut BTreeSet<u64>,
-        visited_res: &mut [bool],
-    ) -> (Vec<u64>, Vec<u32>) {
-        let mut stack = vec![seed];
-        visited_flows.insert(seed);
-        let mut comp_flows: Vec<u64> = Vec::new();
-        let mut comp_res: Vec<u32> = Vec::new();
-        while let Some(k) = stack.pop() {
-            comp_flows.push(k);
-            for r in &self.flows[&k].path {
-                let ri = r.index();
-                if !visited_res[ri] {
-                    visited_res[ri] = true;
-                    comp_res.push(ri as u32);
-                    for m in &self.members[ri] {
-                        if visited_flows.insert(*m) {
-                            stack.push(*m);
-                        }
-                    }
-                }
-            }
-        }
-        comp_flows.sort_unstable();
-        comp_res.sort_unstable();
-        (comp_flows, comp_res)
-    }
-
-    /// Progressive filling over one connected component. Pure with
-    /// respect to flow state: resolved `(key, per-member rate)` pairs
-    /// are pushed into `out`.
-    fn fill_component(
-        &self,
-        comp_flows: &[u64],
-        comp_res: &[u32],
-        scratch: &mut SolveScratch,
-        out: &mut Vec<(u64, f64)>,
-    ) {
-        let SolveScratch {
-            frozen_alloc,
-            weight_on,
-            cap_rem,
-        } = scratch;
-        for &r in comp_res {
-            frozen_alloc[r as usize] = 0.0;
-        }
-        let mut unfrozen: Vec<u64> = comp_flows.to_vec();
-        while !unfrozen.is_empty() {
-            // Recompute active weights exactly each round (incremental
-            // subtraction leaves floating-point residue that can make a
-            // fully-frozen resource look contended and stall the loop).
-            for &r in comp_res {
-                weight_on[r as usize] = 0.0;
-            }
-            for k in &unfrozen {
-                let f = &self.flows[k];
-                for r in &f.path {
-                    weight_on[r.index()] += f.weight * self.share(f.multiplicity, r.index());
-                }
-            }
-            for &r in comp_res {
-                let ri = r as usize;
-                cap_rem[ri] = (self.resources[ri].capacity - frozen_alloc[ri]).max(0.0);
-            }
-            // Candidate fill level from resources.
-            let mut level = f64::INFINITY;
-            for &r in comp_res {
-                let ri = r as usize;
-                if weight_on[ri] > 0.0 {
-                    level = level.min((cap_rem[ri].max(0.0)) / weight_on[ri]);
-                }
-            }
-            // Candidate fill level from per-flow caps.
-            for k in &unfrozen {
-                let f = &self.flows[k];
-                if let Some(cap) = f.rate_cap {
-                    level = level.min(cap / f.weight);
-                }
-            }
-            if !level.is_finite() {
-                // No shared resources and no caps: unconstrained flows.
-                for k in &unfrozen {
-                    out.push((*k, f64::INFINITY));
-                }
-                break;
-            }
-
-            // Freeze: cap-limited flows at their cap; flows through a
-            // saturated bottleneck at weight * level.
-            let tol = level.abs() * 1e-12 + 1e-30;
-            let mut still = Vec::with_capacity(unfrozen.len());
-            let mut froze_any = false;
-            for k in unfrozen {
-                let f = &self.flows[&k];
-                let cap_level = f.rate_cap.map(|c| c / f.weight).unwrap_or(f64::INFINITY);
-                let on_bottleneck = f.path.iter().any(|r| {
-                    weight_on[r.index()] > 0.0
-                        && (cap_rem[r.index()].max(0.0) / weight_on[r.index()]) <= level + tol
-                });
-                if cap_level <= level + tol || on_bottleneck {
-                    let rate = f.weight * level.min(cap_level);
-                    out.push((k, rate));
-                    for r in &f.path {
-                        frozen_alloc[r.index()] += rate * self.share(f.multiplicity, r.index());
-                    }
-                    froze_any = true;
-                } else {
-                    still.push(k);
-                }
-            }
-            debug_assert!(froze_any, "progressive filling made no progress");
-            if !froze_any {
-                // Defensive: freeze everything at the current level.
-                for k in &still {
-                    out.push((*k, self.flows[k].weight * level));
-                }
-                break;
-            }
-            unfrozen = still;
-        }
     }
 
     /// The differential oracle: every active flow's rate re-derived
@@ -1113,25 +985,22 @@ impl FlowNet {
     /// this bit-for-bit; the proptest differential suite does the same
     /// in release builds.
     pub fn scratch_rates(&self) -> Vec<(FlowId, f64)> {
-        let mut visited_flows: BTreeSet<u64> = BTreeSet::new();
-        let mut visited_res = vec![false; self.resources.len()];
-        let mut scratch = SolveScratch::new(self.resources.len());
-        let mut all: Vec<(u64, f64)> = Vec::with_capacity(self.flows.len());
-        for &k in self.flows.keys() {
-            if visited_flows.contains(&k) {
-                continue;
-            }
-            let (comp_flows, comp_res) = self.component(k, &mut visited_flows, &mut visited_res);
-            self.fill_component(&comp_flows, &comp_res, &mut scratch, &mut all);
+        let mut scratch = SolveScratch::default();
+        let n_comp = scratch.components(&self.flows, self.resources.len(), None);
+        for c in 0..n_comp {
+            scratch.fill(c, &self.flows, &self.resources);
         }
-        all.sort_unstable_by_key(|(k, _)| *k);
-        all.into_iter().map(|(k, r)| (FlowId(k), r)).collect()
+        let mut all = scratch.out;
+        all.sort_unstable_by_key(|&(slot, _)| slot);
+        all.into_iter()
+            .map(|(slot, rate)| (FlowId(self.flows[slot as usize].key), rate))
+            .collect()
     }
 
     #[cfg(debug_assertions)]
     fn assert_rates_match_scratch(&self) {
-        for (id, want) in self.scratch_rates() {
-            let got = self.flows[&id.0].rate;
+        for (f, (id, want)) in self.flows.iter().zip(self.scratch_rates()) {
+            let got = f.rate;
             assert!(
                 got.to_bits() == want.to_bits(),
                 "incremental solver drifted from scratch solve at t={}: \
@@ -1150,9 +1019,9 @@ impl FlowNet {
     pub fn resource_utilization(&mut self) -> Vec<(String, f64, f64)> {
         self.ensure_rates();
         let mut alloc = vec![0.0; self.resources.len()];
-        for f in self.flows.values() {
-            for r in &f.path {
-                alloc[r.index()] += f.rate * self.share(f.multiplicity, r.index());
+        for f in &self.flows {
+            for h in &f.path {
+                alloc[h.res] += f.rate * h.share;
             }
         }
         self.resources
@@ -1163,22 +1032,223 @@ impl FlowNet {
     }
 }
 
-/// Reusable per-resource solver buffers, full network width. Each is
-/// only ever read for a component's own resources and reset before
-/// use, so one set serves every component of an epoch.
+/// Marks a union-find root that has no component to solve.
+const NO_COMPONENT: u32 = u32::MAX;
+
+/// The solver's reusable buffers. Per-resource vectors span the whole
+/// network. The union-find tables are rebuilt by every solve; the fill
+/// buffers are only read for a component's own resources and reset
+/// before use, so one set serves every component of an epoch. Flows
+/// are named by their slot in the key-ordered flow table.
+#[derive(Default)]
 struct SolveScratch {
     /// Capacity consumed by frozen flows, per resource (per instance).
     frozen_alloc: Vec<f64>,
     weight_on: Vec<f64>,
-    cap_rem: Vec<f64>,
+    /// The fill level at which the resource saturates this round;
+    /// infinite when no unfrozen flow crosses it.
+    fill_at: Vec<f64>,
+    /// Union-find parent per resource; resources crossed by one flow
+    /// share a root.
+    parent: Vec<u32>,
+    /// Per root: whether its component holds a dirty resource.
+    root_dirty: Vec<bool>,
+    /// Per root: its index among this solve's components, or
+    /// [`NO_COMPONENT`].
+    comp_of: Vec<u32>,
+    /// Per component to solve: flow slots and resource indices, both
+    /// ascending. Only as many as [`SolveScratch::components`] last
+    /// returned are live; the rest keep their capacity for later solves.
+    comp_flows: Vec<Vec<u32>>,
+    comp_res: Vec<Vec<u32>>,
+    /// A component's flows not yet frozen, and the next round's.
+    unfrozen: Vec<u32>,
+    still: Vec<u32>,
+    /// `(slot, per-member rate)` for every flow solved since the last
+    /// [`SolveScratch::components`] call.
+    out: Vec<(u32, f64)>,
 }
 
 impl SolveScratch {
-    fn new(n_res: usize) -> Self {
-        SolveScratch {
-            frozen_alloc: vec![0.0; n_res],
-            weight_on: vec![0.0; n_res],
-            cap_rem: vec![0.0; n_res],
+    /// Partitions the active flows into connected components and lists
+    /// the ones to solve: all of them when `dirty` is `None`; otherwise
+    /// those holding a dirty resource or a fresh path-less flow, and the
+    /// dirty bits are cleared. Returns how many components it listed,
+    /// and empties `out` for the solve that follows.
+    fn components(&mut self, flows: &[Flow], n_res: usize, dirty: Option<&mut [bool]>) -> usize {
+        let solve_all = dirty.is_none();
+        self.frozen_alloc.resize(n_res, 0.0);
+        self.weight_on.resize(n_res, 0.0);
+        self.fill_at.resize(n_res, 0.0);
+        self.out.clear();
+        self.parent.clear();
+        self.parent.extend(0..n_res as u32);
+        for f in flows {
+            if let Some((first, rest)) = f.path.split_first() {
+                let mut root = self.find(first.res);
+                for h in rest {
+                    let other = self.find(h.res);
+                    if other != root {
+                        let (a, b) = (root.min(other), root.max(other));
+                        self.parent[b] = a as u32;
+                        root = a;
+                    }
+                }
+            }
+        }
+        self.root_dirty.clear();
+        self.root_dirty.resize(n_res, solve_all);
+        if let Some(dirty) = dirty {
+            for (r, d) in dirty.iter_mut().enumerate() {
+                if std::mem::take(d) {
+                    let root = self.find(r);
+                    self.root_dirty[root] = true;
+                }
+            }
+        }
+        self.comp_of.clear();
+        self.comp_of.resize(n_res, NO_COMPONENT);
+        let mut n_comp = 0;
+        for (slot, f) in flows.iter().enumerate() {
+            let c = match f.path.first() {
+                None if solve_all || f.fresh => self.open_component(&mut n_comp),
+                None => continue,
+                Some(h) => {
+                    let root = self.find(h.res);
+                    if !self.root_dirty[root] {
+                        continue;
+                    }
+                    if self.comp_of[root] == NO_COMPONENT {
+                        self.comp_of[root] = self.open_component(&mut n_comp);
+                    }
+                    self.comp_of[root]
+                }
+            };
+            self.comp_flows[c as usize].push(slot as u32);
+        }
+        for r in 0..n_res {
+            let root = self.find(r);
+            let c = self.comp_of[root];
+            if c != NO_COMPONENT {
+                self.comp_res[c as usize].push(r as u32);
+            }
+        }
+        n_comp as usize
+    }
+
+    /// Union-find root of resource `r`, halving the path on the way.
+    fn find(&mut self, mut r: usize) -> usize {
+        let parent = &mut self.parent;
+        while parent[r] as usize != r {
+            let grand = parent[parent[r] as usize];
+            parent[r] = grand;
+            r = grand as usize;
+        }
+        r
+    }
+
+    /// Opens component `n_comp` (then counts it), reusing the lists an
+    /// earlier solve left there.
+    fn open_component(&mut self, n_comp: &mut u32) -> u32 {
+        let c = *n_comp;
+        if self.comp_flows.len() == c as usize {
+            self.comp_flows.push(Vec::new());
+            self.comp_res.push(Vec::new());
+        } else {
+            self.comp_flows[c as usize].clear();
+            self.comp_res[c as usize].clear();
+        }
+        *n_comp += 1;
+        c
+    }
+
+    /// Progressive filling over component `c` of the last
+    /// [`SolveScratch::components`] call. Pure with respect to flow
+    /// state: resolved `(slot, per-member rate)` pairs are pushed into
+    /// `out`.
+    fn fill(&mut self, c: usize, flows: &[Flow], resources: &[ResourceSpec]) {
+        let SolveScratch {
+            frozen_alloc,
+            weight_on,
+            fill_at,
+            comp_flows,
+            comp_res,
+            unfrozen,
+            still,
+            out,
+            ..
+        } = self;
+        let comp_res = &comp_res[c];
+        for &r in comp_res {
+            frozen_alloc[r as usize] = 0.0;
+        }
+        unfrozen.clear();
+        unfrozen.extend_from_slice(&comp_flows[c]);
+        while !unfrozen.is_empty() {
+            // Recompute active weights exactly each round (incremental
+            // subtraction leaves floating-point residue that can make a
+            // fully-frozen resource look contended and stall the loop).
+            for &r in comp_res {
+                weight_on[r as usize] = 0.0;
+            }
+            for &s in unfrozen.iter() {
+                let f = &flows[s as usize];
+                for h in &f.path {
+                    weight_on[h.res] += f.weight * h.share;
+                }
+            }
+            // Candidate fill level from resources.
+            let mut level = f64::INFINITY;
+            for &r in comp_res {
+                let ri = r as usize;
+                let cap_rem = (resources[ri].capacity - frozen_alloc[ri]).max(0.0);
+                fill_at[ri] = if weight_on[ri] > 0.0 {
+                    cap_rem.max(0.0) / weight_on[ri]
+                } else {
+                    f64::INFINITY
+                };
+                level = level.min(fill_at[ri]);
+            }
+            // Candidate fill level from per-flow caps.
+            for &s in unfrozen.iter() {
+                let f = &flows[s as usize];
+                if let Some(cap) = f.rate_cap {
+                    level = level.min(cap / f.weight);
+                }
+            }
+            if !level.is_finite() {
+                // No shared resources and no caps: unconstrained flows.
+                out.extend(unfrozen.iter().map(|&s| (s, f64::INFINITY)));
+                break;
+            }
+
+            // Freeze: cap-limited flows at their cap; flows through a
+            // saturated bottleneck at weight * level.
+            let tol = level.abs() * 1e-12 + 1e-30;
+            still.clear();
+            let mut froze_any = false;
+            for &s in unfrozen.iter() {
+                let f = &flows[s as usize];
+                let cap_level = f.rate_cap.map(|c| c / f.weight).unwrap_or(f64::INFINITY);
+                let on_bottleneck = f.path.iter().any(|h| fill_at[h.res] <= level + tol);
+                if cap_level <= level + tol || on_bottleneck {
+                    let rate = f.weight * level.min(cap_level);
+                    out.push((s, rate));
+                    for h in &f.path {
+                        frozen_alloc[h.res] += rate * h.share;
+                    }
+                    froze_any = true;
+                } else {
+                    still.push(s);
+                }
+            }
+            debug_assert!(froze_any, "progressive filling made no progress");
+            if !froze_any {
+                // Defensive: freeze everything at the current level.
+                out.extend(still.iter().map(|&s| (s, flows[s as usize].weight * level)));
+                break;
+            }
+            std::mem::swap(unfrozen, still);
         }
     }
 }

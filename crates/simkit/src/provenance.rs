@@ -135,50 +135,51 @@ struct State {
     pending: BTreeMap<u64, Pending>,
     /// Start time of the current rate epoch.
     epoch_t: f64,
-    /// Per-flow `(achieved, demand)` rates holding since `epoch_t`.
-    epoch: BTreeMap<u64, (f64, f64)>,
+    /// The rate samples holding since `epoch_t`, in flow-key order (as
+    /// the network emits them).
+    epoch: Vec<EpochFlowSample>,
     /// Per-resource allocation and capacity holding since `epoch_t`.
     alloc: Vec<f64>,
     caps: Vec<f64>,
 }
 
-impl State {
-    /// Charges the interval `[epoch_t, now)` of one pending flow to
-    /// stall, a blamed resource, or (implicitly) the ideal remainder,
-    /// using the current epoch's rate table.
-    fn attribute(&mut self, key: u64, now: f64) {
-        let Some((rate, demand)) = self.epoch.get(&key).copied() else {
-            // Admitted and finished without ever appearing in a rate
-            // epoch (sub-tolerance flow): the remainder absorbs it.
-            return;
-        };
-        let Some(p) = self.pending.get_mut(&key) else {
-            return;
-        };
-        let t0 = self.epoch_t.max(p.admitted_at);
+impl Pending {
+    /// Charges this flow's slice of the epoch that began at `epoch_t`,
+    /// up to `now`, to stall, a blamed resource, or (implicitly) the
+    /// ideal remainder, from the flow's `sample` and the epoch's
+    /// per-resource allocation and capacity.
+    fn charge(
+        &mut self,
+        sample: &EpochFlowSample,
+        epoch_t: f64,
+        now: f64,
+        alloc: &[f64],
+        caps: &[f64],
+    ) {
+        let t0 = epoch_t.max(self.admitted_at);
         let dt = now - t0;
         if dt <= 0.0 {
             return;
         }
-        if rate == 0.0 {
-            p.stall += dt;
-        } else if rate < demand * (1.0 - CONTENTION_REL_TOL) {
+        if sample.rate == 0.0 {
+            self.stall += dt;
+        } else if sample.rate < sample.demand * (1.0 - CONTENTION_REL_TOL) {
             // Contended: charge the most-saturated resource on the
             // path (highest allocated/capacity ratio; ties break to
             // the lowest index for determinism).
             let mut binding: Option<(u32, f64)> = None;
-            for &r in &p.path {
-                let cap = self.caps[r as usize];
+            for &r in &self.path {
+                let cap = caps[r as usize];
                 if cap <= 0.0 {
                     continue;
                 }
-                let ratio = self.alloc[r as usize] / cap;
+                let ratio = alloc[r as usize] / cap;
                 if binding.is_none_or(|(_, best)| ratio > best) {
                     binding = Some((r, ratio));
                 }
             }
             if let Some((r, _)) = binding {
-                *p.blame.entry(r).or_insert(0.0) += dt;
+                *self.blame.entry(r).or_insert(0.0) += dt;
             }
         }
         // else: running at demand — ideal service, left to the
@@ -217,14 +218,18 @@ impl FlowRecorder for Probe {
 
     fn on_flow_end(&mut self, now: f64, id: FlowId, _tag: u64, completed: bool) {
         let mut st = self.0.borrow_mut();
+        let Some(mut p) = st.pending.remove(&id.raw()) else {
+            return;
+        };
         // Close the flow's slice of the in-progress epoch: `advance_to`
         // reports completions before the post-completion re-solve, so
         // the interval `[epoch_t, now)` still ran at the current
-        // epoch's rates.
-        st.attribute(id.raw(), now);
-        let Some(p) = st.pending.remove(&id.raw()) else {
-            return;
-        };
+        // epoch's rates. A flow admitted and finished without ever
+        // appearing in a rate epoch (sub-tolerance) has no sample: the
+        // remainder absorbs it.
+        if let Ok(i) = st.epoch.binary_search_by_key(&id.raw(), |s| s.id.raw()) {
+            p.charge(&st.epoch[i], st.epoch_t, now, &st.alloc, &st.caps);
+        }
         if !completed {
             return; // cancelled — no latency to decompose
         }
@@ -259,19 +264,32 @@ impl FlowRecorder for Probe {
         capacity: &[f64],
     ) {
         let mut st = self.0.borrow_mut();
+        let State {
+            pending,
+            epoch_t,
+            epoch,
+            alloc,
+            caps,
+            ..
+        } = &mut *st;
         // The previous epoch's rates held from epoch_t until now:
-        // charge that interval to every still-pending flow it covered.
-        let keys: Vec<u64> = st.epoch.keys().copied().collect();
-        for k in keys {
-            st.attribute(k, now);
+        // charge that interval to every still-pending flow it covered,
+        // in one merge-walk (both sides are in flow-key order).
+        let mut open = pending.iter_mut().peekable();
+        for s in epoch.iter() {
+            let key = s.id.raw();
+            while open.next_if(|(k, _)| **k < key).is_some() {}
+            if let Some((_, p)) = open.next_if(|(k, _)| **k == key) {
+                p.charge(s, *epoch_t, now, alloc, caps);
+            }
         }
-        st.epoch_t = now;
-        st.epoch = samples
-            .iter()
-            .map(|s| (s.id.raw(), (s.rate, s.demand)))
-            .collect();
-        st.alloc = allocated.to_vec();
-        st.caps = capacity.to_vec();
+        *epoch_t = now;
+        epoch.clear();
+        epoch.extend_from_slice(samples);
+        alloc.clear();
+        alloc.extend_from_slice(allocated);
+        caps.clear();
+        caps.extend_from_slice(capacity);
     }
 }
 
@@ -419,20 +437,32 @@ mod tests {
 
     #[test]
     fn stacks_beside_a_flow_log_without_disturbing_it() {
+        // Either attach order: neither recorder may detach the other.
         use crate::flowlog::FlowLogHandle;
-        let mut net = FlowNet::new();
-        let flowlog = FlowLogHandle::attach(&mut net);
-        let prov = ProvenanceHandle::attach(&mut net);
-        let r = net.add_resource(ResourceSpec::new("link", 100.0));
-        net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(3));
-        net.run_to_completion(|_, _| {});
-        let flog = flowlog.snapshot();
-        assert_eq!(flog.resources, vec![("link".to_string(), 100.0)]);
-        assert_eq!(flog.flows.len(), 1);
-        assert!(flog.flows[0].completed);
-        let plog = prov.snapshot();
-        assert_eq!(plog.resources, vec![("link".to_string(), 100.0)]);
-        assert_eq!(plog.ops.len(), 1);
-        assert_conserved(&plog);
+        for provenance_first in [false, true] {
+            let mut net = FlowNet::new();
+            let (flowlog, prov) = if provenance_first {
+                let prov = ProvenanceHandle::attach(&mut net);
+                (FlowLogHandle::attach(&mut net), prov)
+            } else {
+                let flowlog = FlowLogHandle::attach(&mut net);
+                (flowlog, ProvenanceHandle::attach(&mut net))
+            };
+            let r = net.add_resource(ResourceSpec::new("link", 100.0));
+            net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(3));
+            net.run_to_completion(|_, _| {});
+            let flog = flowlog.snapshot();
+            assert_eq!(flog.resources, vec![("link".to_string(), 100.0)]);
+            assert_eq!(flog.flows.len(), 1);
+            assert!(flog.flows[0].completed);
+            let plog = prov.snapshot();
+            assert_eq!(
+                plog.resources,
+                vec![("link".to_string(), 100.0)],
+                "provenance first: {provenance_first}"
+            );
+            assert_eq!(plog.ops.len(), 1, "provenance first: {provenance_first}");
+            assert_conserved(&plog);
+        }
     }
 }

@@ -272,17 +272,20 @@ proptest! {
 
     /// Incremental vs scratch: arbitrary graphs and weights (no
     /// symmetry needed — both solvers share the inner arithmetic), the
-    /// dirty-set solver's allocations match the full progressive-filling
-    /// re-solve after every mutation.
+    /// incremental solver's allocations match the full progressive-filling
+    /// re-solve after every mutation. Path-less flows (each its own
+    /// component), capped and uncapped, and flows leaving the key-ordered
+    /// table by completion as well as cancellation are in the mix.
     #[test]
     fn incremental_solver_matches_scratch(
         caps in prop::collection::vec(1.0e6..1.0e9f64, 1..5),
         flows in prop::collection::vec(
             (
-                prop::collection::vec(0usize..4, 1..4),
+                prop::collection::vec(0usize..4, 0..4),
                 1.0e3..1.0e8f64,
                 0.1..8.0f64,
                 1u32..5,
+                prop::option::of(1.0e5..1.0e9f64),
             ),
             1..10,
         ),
@@ -310,14 +313,15 @@ proptest! {
             Ok(())
         };
         let mut keys = Vec::new();
-        for (path, bytes, weight, mult) in &flows {
+        for (path, bytes, weight, mult, rate_cap) in &flows {
             let path: Vec<_> = path.iter().map(|&i| ids[i % ids.len()]).collect();
-            let key = net.add_flow(
-                FlowSpec::new(path, *bytes)
-                    .with_weight(*weight)
-                    .with_multiplicity(*mult),
-            );
-            keys.push(key);
+            let mut spec = FlowSpec::new(path, *bytes)
+                .with_weight(*weight)
+                .with_multiplicity(*mult);
+            if let Some(cap) = rate_cap {
+                spec = spec.with_rate_cap(*cap);
+            }
+            keys.push(net.add_flow(spec));
             check(&mut net, &keys)?;
         }
         if let Some((ri, factor)) = recap {
@@ -325,13 +329,32 @@ proptest! {
             net.set_resource_capacity(ids[ri], caps[ri] * factor);
             check(&mut net, &keys)?;
         }
+        let mut gone = Vec::new();
         for (key, kill) in keys.clone().iter().zip(&kills) {
             if *kill {
-                net.cancel(*key);
+                if net.cancel(*key) {
+                    gone.push(*key);
+                }
             } else {
                 net.advance_to(net.now() + 1e-3);
             }
             check(&mut net, &keys)?;
+        }
+        gone.extend(net.take_completed().iter().map(|c| c.id));
+        // A few completion steps, the way the drive loop takes them.
+        for _ in 0..4 {
+            let Some(t) = net.next_completion_time() else {
+                break;
+            };
+            net.advance_to(t);
+            let done = net.take_completed();
+            prop_assert!(!done.is_empty(), "no flow completed at t={}", t);
+            gone.extend(done.iter().map(|c| c.id));
+            check(&mut net, &keys)?;
+        }
+        for id in &gone {
+            prop_assert_eq!(net.flow_rate(*id), None);
+            prop_assert_eq!(net.flow_remaining(*id), None);
         }
     }
 }

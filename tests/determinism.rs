@@ -212,6 +212,81 @@ fn provenance_blame_reports_are_independent_of_worker_count() {
     assert!(ra.contains("## Tail forensics"), "{ra}");
 }
 
+#[test]
+fn open_loop_points_past_the_knee_are_pinned() {
+    // The shipped latency.saturation deck's shape at 25,600 ops/s, far
+    // past the knee on both systems: the backlog of in-flight flows
+    // shares one solver component, re-solved at every arrival and
+    // completion. The other open-loop tests compare two runs with each
+    // other; this one pins literals, so a solver change that moves a
+    // bit (rates, completion order, epoch count, provenance
+    // attribution) fails here. A 10 ms injection window keeps the
+    // debug build near one second.
+    use hcs_core::{Arrival, Deck};
+    use hcs_experiments::{run_deck, Meter};
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/latency.saturation.json"
+    ))
+    .expect("shipped saturation deck");
+    let mut deck: Deck = serde_json::from_str(&json).expect("deck parses");
+    deck.axes.systems = vec!["vast-lassen".into(), "nvme".into()];
+    deck.axes.offered_load = vec![25600.0];
+    if let Arrival::Open { duration, .. } = &mut deck.base.arrival {
+        *duration = 0.01;
+    }
+    let result = run_deck(&deck, None, Meter::Provenance);
+    /// One point's pinned values, seconds as IEEE-754 bits.
+    struct Pin {
+        system: &'static str,
+        /// p99 of each latency class.
+        p99: &'static [u64],
+        blame: u64,
+        queueing: u64,
+        ideal: u64,
+        solver_epochs: u64,
+    }
+    let want = [
+        Pin {
+            system: "vast-lassen",
+            p99: &[0x3fce68986fcdee35],
+            blame: 0x404d9e62a93a5ee3,
+            queueing: 0x0000000000000000,
+            ideal: 0x3ed351c3d7a80000,
+            solver_epochs: 509,
+        },
+        Pin {
+            system: "nvme",
+            p99: &[0x3f981dc0db2702a3],
+            blame: 0x40148c22d7037935,
+            queueing: 0x0000000000000000,
+            ideal: 0x3ed3082ae2b0b880,
+            solver_epochs: 509,
+        },
+    ];
+    assert_eq!(result.points.len(), want.len());
+    for (p, pin) in result.points.iter().zip(want) {
+        let system = pin.system;
+        assert_eq!(p.scenario.system, system);
+        let m = p.metrics.as_ref().unwrap();
+        let p99: Vec<u64> = m
+            .latency
+            .iter()
+            .map(|l| l.histogram.p99().unwrap().to_bits())
+            .collect();
+        assert_eq!(p99, pin.p99, "{system}: p99");
+        let prov = m.provenance.as_ref().unwrap();
+        assert_eq!(prov.blame_seconds.to_bits(), pin.blame, "{system}: blame");
+        assert_eq!(
+            prov.queueing_seconds.to_bits(),
+            pin.queueing,
+            "{system}: queueing"
+        );
+        assert_eq!(prov.ideal_seconds.to_bits(), pin.ideal, "{system}: ideal");
+        assert_eq!(m.solver_epochs, pin.solver_epochs, "{system}: epochs");
+    }
+}
+
 mod latency_histogram {
     //! The latency histogram is the other merge algebra behind
     //! worker-count independence: counts are exact integers, so merge
