@@ -44,36 +44,23 @@ use crate::phase::PhaseSpec;
 use crate::scenario::FaultSpec;
 use crate::system::{AggregateStage, NodeClass, Provisioned, StorageSystem};
 
-/// Node count above which `Auto`-mode provisioning switches to
-/// equivalence-class aggregation. The paper's largest sweep stops at
-/// 128 nodes, so every paper/smoke-scale run (and every golden
+/// Node count above which [`DeploymentGraph::provision_classed`]
+/// switches to equivalence-class aggregation. The paper's largest sweep
+/// stops at 128 nodes, so every paper/smoke-scale run (and every golden
 /// fixture) stays on the fully expanded plan — bit-identical to the
 /// pre-aggregation planner — while datacenter-scale sweeps compile to
 /// one resource/flow per *class* instead of per node.
 pub const AGGREGATE_NODE_THRESHOLD: u32 = 1024;
 
-/// When `Auto`-mode provisioning aggregates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AggregateMode {
-    /// Aggregate above [`AGGREGATE_NODE_THRESHOLD`] nodes (or as forced
-    /// by [`with_forced_aggregation`] on this thread).
-    #[default]
-    Auto,
-    /// Always aggregate (differential tests at small node counts).
-    Always,
-    /// Never aggregate (the expanded legacy plan).
-    Never,
-}
-
 thread_local! {
     static FORCED_AGGREGATION: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with `Auto`-mode aggregation forced on or off for this
-/// thread — how the differential tests drive whole decks through the
-/// aggregated planner at smoke scale (and how they pin that the
-/// expanded twin is reproduced exactly) without plumbing a flag
-/// through every layer.
+/// Runs `f` with class aggregation forced on or off for this thread,
+/// whatever the node count — how the differential tests drive whole
+/// decks through the aggregated planner at smoke scale (and how they
+/// pin that the expanded twin is reproduced exactly) without plumbing
+/// a flag through every layer.
 pub fn with_forced_aggregation<T>(on: bool, f: impl FnOnce() -> T) -> T {
     let prev = FORCED_AGGREGATION.with(|c| c.replace(Some(on)));
     let out = f();
@@ -84,9 +71,6 @@ pub fn with_forced_aggregation<T>(on: bool, f: impl FnOnce() -> T) -> T {
 /// Options for [`DeploymentGraph::provision_classed`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanOptions<'a> {
-    /// Whether to compile node equivalence classes into aggregate
-    /// resources.
-    pub aggregate: AggregateMode,
     /// Fault specs the run will resolve: any spec with a `name` filter
     /// that hits a strict subset of a class forces a deterministic
     /// class split, so fault resolution stays all-or-nothing per class.
@@ -94,22 +78,9 @@ pub struct PlanOptions<'a> {
 }
 
 impl<'a> PlanOptions<'a> {
-    /// Auto aggregation with the given fault schedule.
+    /// Options for a run with the given fault schedule.
     pub fn auto(faults: &'a [FaultSpec]) -> Self {
-        PlanOptions {
-            aggregate: AggregateMode::Auto,
-            faults,
-        }
-    }
-}
-
-impl PlanOptions<'static> {
-    /// The expanded legacy plan (no aggregation, no faults).
-    pub fn expanded() -> Self {
-        PlanOptions {
-            aggregate: AggregateMode::Never,
-            faults: &[],
-        }
+        PlanOptions { faults }
     }
 }
 
@@ -384,16 +355,127 @@ impl DeploymentGraph {
     }
 
     /// Compiles the graph into `net` for a run with `nodes` client
-    /// nodes, returning the provisioning contract the runner consumes.
+    /// nodes, returning the provisioning contract the runner consumes:
+    /// the class plan of one singleton class per node, whose resources
+    /// are named and ordered as the module docs state, emitted as
+    /// [`Provisioned::node_paths`].
     ///
     /// # Panics
     /// Panics if the graph fails [`Self::validate`].
     pub fn provision(&self, net: &mut FlowNet, nodes: u32, phase: &PhaseSpec) -> Provisioned {
+        let singletons: Vec<[u32; 1]> = (0..nodes).map(|n| [n]).collect();
+        self.compile(net, &singletons, phase, false)
+    }
+
+    /// [`Self::provision`] with equivalence-class aggregation. Below
+    /// [`AGGREGATE_NODE_THRESHOLD`] nodes (i.e. at every paper/smoke
+    /// scale), unless [`with_forced_aggregation`] says otherwise, this
+    /// *is* `provision` — same resources, same names, same order,
+    /// bit-identical plans. Above it nodes are partitioned into
+    /// equivalence classes: all members of a class share one
+    /// shard-assignment pattern and one fault-filter exposure, so each
+    /// per-node stage compiles to a single aggregate resource with
+    /// `instances = |class|` and the whole class runs as one weighted
+    /// flow.
+    ///
+    /// Class splitting: a fault spec with a `name` filter selects
+    /// per-node resources by name (`"{stage}{node}"`). Any such filter
+    /// whose stage kind matches a per-node stage becomes a splitter
+    /// predicate, so a class is never a strict superset of a filter's
+    /// matches — fault resolution stays all-or-nothing per aggregate.
+    /// A split-off singleton keeps the *exact* expanded resource name
+    /// (so per-resource jitter RNG streams are reproduced); multi-member
+    /// aggregates are named `"{stage}[{len}x{first}]"`.
+    pub fn provision_classed(
+        &self,
+        net: &mut FlowNet,
+        nodes: u32,
+        phase: &PhaseSpec,
+        opts: &PlanOptions<'_>,
+    ) -> Provisioned {
+        let aggregate = FORCED_AGGREGATION
+            .with(|c| c.get())
+            .unwrap_or(nodes > AGGREGATE_NODE_THRESHOLD);
+        if !aggregate {
+            return self.provision(net, nodes, phase);
+        }
+
+        // Equivalence-class signature. Two nodes are interchangeable
+        // when (a) they land on the same shard of every sharded stage —
+        // guaranteed by sharing a residue modulo the lcm of all shard
+        // counts — and (b) every fault-name splitter predicate answers
+        // the same for both.
+        let mut lcm: u64 = 1;
+        for stage in &self.stages {
+            if let StageScope::Sharded { count } = stage.scope {
+                let c = count.max(1) as u64;
+                lcm = lcm / gcd(lcm, c) * c;
+            }
+        }
+        let lcm = (lcm.min(nodes.max(1) as u64)) as u32;
+
+        // Splitters: (per-node stage index, fault name filter) pairs
+        // whose filter can select per-node resources of that stage.
+        let splitters: Vec<(usize, &str)> = opts
+            .faults
+            .iter()
+            .filter_map(|f| f.name.as_deref().map(|n| (f.stage, n)))
+            .flat_map(|(kind, name)| {
+                self.stages
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, s)| s.scope == StageScope::PerNode && s.kind == kind)
+                    .map(move |(si, _)| (si, name))
+            })
+            .collect();
+
+        // Partition nodes by signature, first-occurrence order.
+        let mut classes: Vec<(Vec<bool>, u32, Vec<u32>)> = Vec::new();
+        for node in 0..nodes {
+            let residue = node % lcm;
+            let sig: Vec<bool> = splitters
+                .iter()
+                .map(|&(si, name)| {
+                    resource_of_stage(name, &format!("{}{node}", self.stages[si].name))
+                })
+                .collect();
+            match classes
+                .iter_mut()
+                .find(|(s, r, _)| *s == sig && *r == residue)
+            {
+                Some((_, _, members)) => members.push(node),
+                None => classes.push((sig, residue, vec![node])),
+            }
+        }
+        let classes: Vec<Vec<u32>> = classes.into_iter().map(|(_, _, m)| m).collect();
+        let mut prov = self.compile(net, &classes, phase, true);
+        let paths = std::mem::take(&mut prov.node_paths);
+        prov.classes = classes
+            .into_iter()
+            .zip(paths)
+            .map(|(members, path)| NodeClass { members, path })
+            .collect();
+        prov
+    }
+
+    /// The planner body: compiles the shared and sharded stages in
+    /// declaration order, then, class by class, each per-node stage as
+    /// one resource with `instances = |class|`; a singleton class's
+    /// resource gets the expanded name `"{stage}{node}"`. Returns one
+    /// path per class as `node_paths`, and with `aggregated` the
+    /// per-node resources as `aggregates`.
+    fn compile<M: AsRef<[u32]>>(
+        &self,
+        net: &mut FlowNet,
+        classes: &[M],
+        phase: &PhaseSpec,
+        aggregated: bool,
+    ) -> Provisioned {
         self.validate();
 
-        // Shared and sharded stages, in declaration order. `compiled`
-        // records, per stage, the resource ids it expanded to at this
-        // point (per-node stages are filled per node below).
+        // `shared_ids` records, per stage, the resource ids a shared or
+        // sharded stage expanded to (per-node stages are compiled per
+        // class below).
         let mut stage_kinds = Vec::new();
         let mut shared_ids: Vec<Option<Vec<hcs_simkit::ResourceId>>> =
             vec![None; self.stages.len()];
@@ -429,192 +511,18 @@ impl DeploymentGraph {
         let mut order: Vec<usize> = (0..self.stages.len()).collect();
         order.sort_by_key(|&si| (self.stages[si].kind, si));
 
-        let node_paths = (0..nodes)
-            .map(|node| {
-                // Per-node resources for this node, declaration order.
-                let per_node: Vec<_> = self
+        let mut aggregates = Vec::new();
+        let node_paths = classes
+            .iter()
+            .map(|members| {
+                let members = members.as_ref();
+                // This class's per-node resources, declaration order.
+                let per_node: Vec<(usize, hcs_simkit::ResourceId)> = self
                     .stages
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| s.scope == StageScope::PerNode)
                     .map(|(si, s)| {
-                        let id = net.add_resource(ResourceSpec::new(
-                            format!("{}{node}", s.name),
-                            s.capacity.for_phase(phase),
-                        ));
-                        stage_kinds.push((id, s.kind));
-                        (si, id)
-                    })
-                    .collect();
-                order
-                    .iter()
-                    .map(|&si| match self.stages[si].scope {
-                        StageScope::Shared => shared_ids[si].as_ref().expect("compiled")[0],
-                        StageScope::Sharded { .. } => {
-                            let shards = shared_ids[si].as_ref().expect("compiled");
-                            shards[node as usize % shards.len()]
-                        }
-                        StageScope::PerNode => {
-                            per_node
-                                .iter()
-                                .find(|(i, _)| *i == si)
-                                .expect("per-node stage compiled for this node")
-                                .1
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        Provisioned {
-            node_paths,
-            per_stream_bw: self.per_stream_bw,
-            per_op_latency: self.per_op_latency,
-            metadata_latency: self.metadata_latency,
-            stage_kinds,
-            classes: vec![],
-            aggregates: vec![],
-        }
-    }
-
-    /// [`Self::provision`] with equivalence-class aggregation. In
-    /// `Auto` mode below [`AGGREGATE_NODE_THRESHOLD`] nodes (i.e. at
-    /// every paper/smoke scale) this *is* `provision` — same resources,
-    /// same names, same order, bit-identical plans. Above the threshold
-    /// (or when forced) nodes are partitioned into equivalence classes:
-    /// all members of a class share one shard-assignment pattern and
-    /// one fault-filter exposure, so each per-node stage compiles to a
-    /// single aggregate resource with `instances = |class|` and the
-    /// whole class runs as one weighted flow.
-    ///
-    /// Class splitting: a fault spec with a `name` filter selects
-    /// per-node resources by name (`"{stage}{node}"`). Any such filter
-    /// whose stage kind matches a per-node stage becomes a splitter
-    /// predicate, so a class is never a strict superset of a filter's
-    /// matches — fault resolution stays all-or-nothing per aggregate.
-    /// A split-off singleton keeps the *exact* expanded resource name
-    /// (so per-resource jitter RNG streams are reproduced); multi-member
-    /// aggregates are named `"{stage}[{len}x{first}]"`.
-    pub fn provision_classed(
-        &self,
-        net: &mut FlowNet,
-        nodes: u32,
-        phase: &PhaseSpec,
-        opts: &PlanOptions<'_>,
-    ) -> Provisioned {
-        let aggregate = match opts.aggregate {
-            AggregateMode::Always => true,
-            AggregateMode::Never => false,
-            AggregateMode::Auto => FORCED_AGGREGATION
-                .with(|c| c.get())
-                .unwrap_or(nodes > AGGREGATE_NODE_THRESHOLD),
-        };
-        if !aggregate {
-            return self.provision(net, nodes, phase);
-        }
-        self.validate();
-
-        // Shared and sharded stages: identical to `provision`.
-        let mut stage_kinds = Vec::new();
-        let mut shared_ids: Vec<Option<Vec<hcs_simkit::ResourceId>>> =
-            vec![None; self.stages.len()];
-        for (si, stage) in self.stages.iter().enumerate() {
-            match stage.scope {
-                StageScope::Shared => {
-                    let id = net.add_resource(ResourceSpec::new(
-                        stage.name.clone(),
-                        stage.capacity.for_phase(phase),
-                    ));
-                    stage_kinds.push((id, stage.kind));
-                    shared_ids[si] = Some(vec![id]);
-                }
-                StageScope::Sharded { count } => {
-                    let ids = (0..count.max(1))
-                        .map(|i| {
-                            let id = net.add_resource(ResourceSpec::new(
-                                format!("{}{i}", stage.name),
-                                stage.capacity.for_phase(phase),
-                            ));
-                            stage_kinds.push((id, stage.kind));
-                            id
-                        })
-                        .collect();
-                    shared_ids[si] = Some(ids);
-                }
-                StageScope::PerNode => {}
-            }
-        }
-
-        // Equivalence-class signature. Two nodes are interchangeable
-        // when (a) they land on the same shard of every sharded stage —
-        // guaranteed by sharing a residue modulo the lcm of all shard
-        // counts — and (b) every fault-name splitter predicate answers
-        // the same for both.
-        let mut lcm: u64 = 1;
-        for stage in &self.stages {
-            if let StageScope::Sharded { count } = stage.scope {
-                let c = count.max(1) as u64;
-                lcm = lcm / gcd(lcm, c) * c;
-            }
-        }
-        let lcm = (lcm.min(nodes.max(1) as u64)) as u32;
-
-        // Splitters: (per-node stage index, fault name filter) pairs
-        // whose filter can select per-node resources of that stage.
-        let per_node_stages: Vec<usize> = self
-            .stages
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.scope == StageScope::PerNode)
-            .map(|(si, _)| si)
-            .collect();
-        let splitters: Vec<(usize, &str)> = opts
-            .faults
-            .iter()
-            .filter_map(|f| f.name.as_deref().map(|n| (f.stage, n)))
-            .flat_map(|(kind, name)| {
-                per_node_stages
-                    .iter()
-                    .filter(move |&&si| self.stages[si].kind == kind)
-                    .map(move |&si| (si, name))
-            })
-            .collect();
-
-        // Partition nodes by signature, first-occurrence order.
-        let mut classes: Vec<(Vec<bool>, u32, Vec<u32>)> = Vec::new();
-        for node in 0..nodes {
-            let residue = node % lcm;
-            let sig: Vec<bool> = splitters
-                .iter()
-                .map(|&(si, name)| {
-                    resource_of_stage(name, &format!("{}{node}", self.stages[si].name))
-                })
-                .collect();
-            match classes
-                .iter_mut()
-                .find(|(s, r, _)| *s == sig && *r == residue)
-            {
-                Some((_, _, members)) => members.push(node),
-                None => classes.push((sig, residue, vec![node])),
-            }
-        }
-
-        let order = {
-            let mut order: Vec<usize> = (0..self.stages.len()).collect();
-            order.sort_by_key(|&si| (self.stages[si].kind, si));
-            order
-        };
-
-        let mut aggregates = Vec::new();
-        let out_classes = classes
-            .into_iter()
-            .map(|(_, _, members)| {
-                // Aggregate per-node resources for this class,
-                // declaration order.
-                let per_node: Vec<(usize, hcs_simkit::ResourceId)> = per_node_stages
-                    .iter()
-                    .map(|&si| {
-                        let s = &self.stages[si];
                         let name = if members.len() == 1 {
                             format!("{}{}", s.name, members[0])
                         } else {
@@ -625,15 +533,17 @@ impl DeploymentGraph {
                                 .with_instances(members.len() as u32),
                         );
                         stage_kinds.push((id, s.kind));
-                        aggregates.push(AggregateStage {
-                            id,
-                            stage_name: s.name.clone(),
-                            members: members.clone(),
-                        });
+                        if aggregated {
+                            aggregates.push(AggregateStage {
+                                id,
+                                stage_name: s.name.clone(),
+                                members: members.to_vec(),
+                            });
+                        }
                         (si, id)
                     })
                     .collect();
-                let path = order
+                order
                     .iter()
                     .map(|&si| match self.stages[si].scope {
                         StageScope::Shared => shared_ids[si].as_ref().expect("compiled")[0],
@@ -649,18 +559,17 @@ impl DeploymentGraph {
                                 .1
                         }
                     })
-                    .collect();
-                NodeClass { members, path }
+                    .collect()
             })
             .collect();
 
         Provisioned {
-            node_paths: vec![],
+            node_paths,
             per_stream_bw: self.per_stream_bw,
             per_op_latency: self.per_op_latency,
             metadata_latency: self.metadata_latency,
             stage_kinds,
-            classes: out_classes,
+            classes: vec![],
             aggregates,
         }
     }

@@ -11,14 +11,18 @@
 //! starts, and stalls while the queue is short: the non-overlapping I/O
 //! of §VI.A. The next epoch's reads start only once the epoch is
 //! consumed and the queue is empty. Synchronous [`Checkpoints`] block
-//! the trainer while a write streams to storage. Flow completions win
-//! ties with compute ends; compute ends within 1e-12 s of each other are
-//! handled in loader order.
+//! the trainer while a write streams to storage.
+//!
+//! The pipeline is a [`FlowNet::drive`] client: reads and checkpoints
+//! are flows whose completions feed it, and its timer ends compute
+//! steps. Flow completions win ties with compute ends, as they win
+//! every tie with a drive timer; compute ends within 1e-12 s of each
+//! other are handled in loader order.
 
 use std::collections::BTreeMap;
 
 use hcs_dftrace::{decompose, EventCategory, IoDecomposition, Tracer};
-use hcs_simkit::{FlowId, FlowNet, FlowSpec, ResourceId};
+use hcs_simkit::{Completion, DriveHooks, FaultTimeline, FlowId, FlowNet, FlowSpec, ResourceId};
 
 /// Thread id of the trainer in traces.
 const TRAINER_TID: u32 = 1000;
@@ -107,10 +111,11 @@ type Pending = (usize, Option<u32>, f64, f64);
 
 struct Pipeline<'a> {
     run: &'a LoaderRun,
-    net: &'a mut FlowNet,
     states: Vec<State>,
     pending: BTreeMap<FlowId, Pending>,
     tracer: Tracer,
+    /// Drive passes left before the run counts as a deadlock.
+    budget: u64,
 }
 
 impl LoaderRun {
@@ -122,58 +127,28 @@ impl LoaderRun {
     /// uneven counts does.
     ///
     /// # Panics
-    /// Panics if a loader stalls with both reads and steps left, or the
-    /// run exceeds its event budget; either means a deadlock.
+    /// Panics if a loader stalls with both reads and steps left, a flow
+    /// stalls at rate zero, or the run exceeds its event budget; each
+    /// means a deadlock.
     pub fn run(&self, net: &mut FlowNet) -> LoaderOutcome {
         let n = self.loaders.len();
         let mut p = Pipeline {
             run: self,
-            net,
             states: vec![State::default(); n],
             pending: BTreeMap::new(),
             tracer: Tracer::new(),
+            budget: self
+                .loaders
+                .iter()
+                .map(|l| 6 * (l.reads.len() + l.steps.len()) as u64 * self.epochs as u64)
+                .sum::<u64>()
+                + 1000,
         };
         for i in 0..n {
-            p.start_reads(i, 0.0);
+            p.start_reads(net, i, 0.0);
         }
-        let budget: u64 = self
-            .loaders
-            .iter()
-            .map(|l| 6 * (l.reads.len() + l.steps.len()) as u64 * self.epochs as u64)
-            .sum::<u64>()
-            + 1000;
-        let mut events = 0;
-        loop {
-            events += 1;
-            assert!(events <= budget, "loader pipeline over its event budget");
-            let t_flow = p.net.next_completion_time().unwrap_or(f64::INFINITY);
-            let t_step = p
-                .states
-                .iter()
-                .filter_map(|s| s.computing.map(|(end, _)| end))
-                .fold(f64::INFINITY, f64::min);
-            if !t_flow.is_finite() && !t_step.is_finite() {
-                break;
-            }
-            if t_flow <= t_step {
-                p.net.advance_to(t_flow);
-                for c in p.net.take_completed() {
-                    p.flow_done(c.id, t_flow);
-                }
-            } else {
-                // Keep the flow clock in lockstep so reads started here
-                // begin at `t_step`; no flow finishes before it.
-                p.net.advance_to(t_step);
-                for i in 0..n {
-                    let s = &p.states[i];
-                    if s.computing
-                        .is_some_and(|(end, _)| (end - t_step).abs() < 1e-12)
-                    {
-                        p.step_done(i, t_step);
-                    }
-                }
-            }
-        }
+        net.drive(Vec::new(), &FaultTimeline::empty(), &mut p)
+            .unwrap_or_else(|e| panic!("{e}"));
         for (l, s) in self.loaders.iter().zip(&p.states) {
             let stalled = s.next_read < l.reads.len() && s.next_step < l.steps.len();
             assert!(!stalled, "loader {} deadlocked", l.pid);
@@ -211,7 +186,7 @@ impl LoaderRun {
 
 impl Pipeline<'_> {
     /// Starts as many reads as idle threads and queue space allow.
-    fn start_reads(&mut self, i: usize, now: f64) {
+    fn start_reads(&mut self, net: &mut FlowNet, i: usize, now: f64) {
         let (run, s) = (self.run, &mut self.states[i]);
         let l = &run.loaders[i];
         while s.in_flight < l.threads
@@ -226,7 +201,7 @@ impl Pipeline<'_> {
             if let Some(cap) = run.read_cap(moved) {
                 spec = spec.with_rate_cap(cap);
             }
-            let id = self.net.add_flow(spec);
+            let id = net.add_flow(spec);
             self.pending
                 .insert(id, (i, Some(s.issued % l.threads), now, bytes));
             s.next_read += 1;
@@ -251,7 +226,7 @@ impl Pipeline<'_> {
         }
     }
 
-    fn flow_done(&mut self, id: FlowId, t: f64) {
+    fn flow_done(&mut self, net: &mut FlowNet, id: FlowId, t: f64) {
         let (i, tid, start, bytes) = self.pending.remove(&id).expect("unknown flow completed");
         let (run, s) = (self.run, &mut self.states[i]);
         let (name, cat, tid) = match tid {
@@ -269,10 +244,10 @@ impl Pipeline<'_> {
         self.tracer
             .complete_with_bytes(name, cat, pid, tid, start, t, bytes);
         self.try_step(i, t);
-        self.start_reads(i, t);
+        self.start_reads(net, i, t);
     }
 
-    fn step_done(&mut self, i: usize, t: f64) {
+    fn step_done(&mut self, net: &mut FlowNet, i: usize, t: f64) {
         let (run, s) = (self.run, &mut self.states[i]);
         let l = &run.loaders[i];
         let (_, seconds) = s.computing.take().expect("a step is running");
@@ -289,7 +264,7 @@ impl Pipeline<'_> {
             if ck.stream_bw.is_finite() && ck.stream_bw > 0.0 {
                 spec = spec.with_rate_cap(ck.stream_bw);
             }
-            let id = self.net.add_flow(spec);
+            let id = net.add_flow(spec);
             self.pending.insert(id, (i, None, t, ck.bytes));
             s.checkpointing = true;
         }
@@ -301,7 +276,36 @@ impl Pipeline<'_> {
             }
         }
         self.try_step(i, t);
-        self.start_reads(i, t);
+        self.start_reads(net, i, t);
+    }
+}
+
+impl DriveHooks for &mut Pipeline<'_> {
+    fn on_complete(&mut self, net: &mut FlowNet, c: Completion) {
+        self.flow_done(net, c.id, c.at);
+    }
+
+    /// The earliest running step's end.
+    fn next_timer(&mut self) -> Option<f64> {
+        assert!(self.budget > 0, "loader pipeline over its event budget");
+        self.budget -= 1;
+        self.states
+            .iter()
+            .filter_map(|s| s.computing.map(|(end, _)| end))
+            .reduce(f64::min)
+    }
+
+    /// Ends every step due now, in loader order.
+    fn on_timer(&mut self, net: &mut FlowNet) {
+        let t = net.now();
+        for i in 0..self.states.len() {
+            if self.states[i]
+                .computing
+                .is_some_and(|(end, _)| (end - t).abs() < 1e-12)
+            {
+                self.step_done(net, i, t);
+            }
+        }
     }
 }
 
@@ -388,6 +392,32 @@ mod tests {
         // Steps outlast reads: the trainer stops when the queue runs dry.
         let (mut net, run) = setup(vec![loader(2, &[(0.01, 1); 5], 1, 2)], 1);
         assert_eq!(count(&run.run(&mut net), EventCategory::Compute), 2);
+    }
+
+    #[test]
+    fn a_read_ending_within_tolerance_of_a_step_end_lands_there() {
+        // Loader 0 reads for 0.01 s, then computes until 0.01 + 0.05.
+        // Loader 1's read is 1e-4 B longer than that span at its stream
+        // rate, so the engine counts it finished at the step end.
+        let long = (1e6 / 1e8 + 0.05) * 1e8 + 1e-4;
+        let late = Loader {
+            pid: 1,
+            reads: vec![long],
+            ..loader(0, &[(0.01, 1)], 1, 1)
+        };
+        let (mut net, run) = setup(vec![loader(1, &[(0.05, 1)], 1, 1), late], 1);
+        let out = run.run(&mut net);
+        assert_eq!(count(&out, EventCategory::Read), 2);
+        assert_eq!(count(&out, EventCategory::Compute), 2);
+        let step_end = 0.060000000000000005;
+        let read = out.tracer.by_category(&EventCategory::Read).nth(1);
+        assert_eq!(read.map(|r| (r.pid, r.end())), Some((1, step_end)));
+        let steps: Vec<u32> = out
+            .tracer
+            .by_category(&EventCategory::Compute)
+            .map(|e| e.pid)
+            .collect();
+        assert_eq!(steps, vec![0, 1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use hcs_simkit::{
-    CapacityEvent, FaultRunReport, FaultTimeline, FlowLogHandle, FlowNet, FlowSpec,
+    CapacityEvent, Completion, FaultRunReport, FaultTimeline, FlowLogHandle, FlowNet, FlowSpec,
     ProvenanceHandle, ResourceId, SimRng,
 };
 
@@ -427,7 +427,7 @@ fn execute(
     let mut ops_completed = 0u64;
     let mut bytes = 0.0;
     let report = net
-        .drive(arrivals, &timeline, |_, c| {
+        .drive(arrivals, &timeline, |_: &mut FlowNet, c: Completion| {
             let unit = c.tag as usize;
             if closed_loop.is_some() {
                 unit_end[unit] = c.at;

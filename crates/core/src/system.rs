@@ -152,12 +152,12 @@ pub trait StorageSystem: Send + Sync {
         self.plan(nodes, ppn, phase).provision(net, nodes, phase)
     }
 
-    /// [`Self::provision`] with planning options: equivalence-class
-    /// aggregation mode plus the fault specs whose name filters must
-    /// split classes. The phase runner calls this; [`Self::provision`]
-    /// stays fully expanded for consumers that index
-    /// [`Provisioned::node_paths`] per node (trace replay, the DLIO
-    /// pipeline).
+    /// [`Self::provision`] with equivalence-class aggregation past
+    /// [`crate::graph::AGGREGATE_NODE_THRESHOLD`] nodes, split by the
+    /// fault specs in `opts`. The phase runner calls this;
+    /// [`Self::provision`] stays fully expanded for consumers that
+    /// index [`Provisioned::node_paths`] per node (trace replay, the
+    /// DLIO pipeline).
     fn provision_classed(
         &self,
         net: &mut FlowNet,

@@ -420,6 +420,31 @@ pub struct Completion {
     pub op: Option<OpIdentity>,
 }
 
+/// A [`FlowNet::drive`] client: it hears every completion and may keep
+/// a timer of its own, as the data loader does for compute steps. Any
+/// `FnMut(&mut FlowNet, Completion)` closure is a client without a
+/// timer (spell out its argument types: they are not inferred through
+/// this trait).
+pub trait DriveHooks {
+    /// Called for each completion at its instant; flows added here
+    /// start from that instant.
+    fn on_complete(&mut self, net: &mut FlowNet, c: Completion);
+
+    /// The client's next wake-up instant, if any; asked once per pass.
+    fn next_timer(&mut self) -> Option<f64> {
+        None
+    }
+
+    /// Called when simulated time ([`FlowNet::now`]) reaches the timer.
+    fn on_timer(&mut self, _net: &mut FlowNet) {}
+}
+
+impl<F: FnMut(&mut FlowNet, Completion)> DriveHooks for F {
+    fn on_complete(&mut self, net: &mut FlowNet, c: Completion) {
+        self(net, c)
+    }
+}
+
 /// The flow-sharing network: resources plus currently active flows.
 pub struct FlowNet {
     resources: Vec<ResourceSpec>,
@@ -689,6 +714,11 @@ impl FlowNet {
 
     /// Absolute time at which the next flow completes, or `None` when no
     /// flow is active or all active flows are stalled at rate zero.
+    ///
+    /// This, [`FlowNet::advance_to`] and [`FlowNet::take_completed`] are
+    /// the stepping primitives [`FlowNet::drive`] is built on; clients
+    /// drive the net through `drive`, and only differential tests step
+    /// it by hand.
     pub fn next_completion_time(&mut self) -> Option<f64> {
         self.ensure_rates();
         let mut best: Option<f64> = None;
@@ -786,8 +816,9 @@ impl FlowNet {
     }
 
     /// The drive loop: runs the network until every active flow has
-    /// completed and every arrival has been admitted and completed,
-    /// applying a [`FaultTimeline`] of capacity events along the way.
+    /// completed, every arrival has been admitted and completed and the
+    /// client has no timer left, applying a [`FaultTimeline`] of
+    /// capacity events along the way.
     /// Closed loop is the case with no arrivals (every flow present at
     /// entry); fault-free is the case with an empty timeline.
     ///
@@ -804,15 +835,21 @@ impl FlowNet {
     /// scale the original provisioned value, never the current one, so
     /// outage + recovery round-trips exactly.
     ///
+    /// `hooks` hears every completion and may keep a client timer
+    /// ([`DriveHooks`]); a plain closure is a client without one.
+    ///
     /// Interleaving is deterministic: time leaps to the earliest of
-    /// (next completion, next capacity event, next arrival); completions
-    /// are drained first at a shared instant, then every capacity event
-    /// due by then applies as one batch (one re-solve), then arrivals
-    /// are admitted. Capacity events past the last completion *and* last
-    /// arrival are not applied. An interval in which every active flow
-    /// sits at rate zero counts toward [`FaultRunReport::stall_seconds`];
-    /// idle gaps with *no* active flow (waiting for the next arrival) do
-    /// not. Only a stall with no event or arrival left returns
+    /// (next completion, next capacity event, next arrival, client
+    /// timer); completions are drained first at a shared instant, then
+    /// every capacity event due by then applies as one batch (one
+    /// re-solve), then arrivals are admitted, then a due timer fires.
+    /// A timer due at the instant of a completion waits one pass and
+    /// fires after the re-solve, so completions win ties with timers.
+    /// Capacity events past the end of the run are not applied. An
+    /// interval in which every active flow sits at rate zero counts
+    /// toward [`FaultRunReport::stall_seconds`]; idle gaps with *no*
+    /// active flow (waiting for the next arrival or timer) do not. Only
+    /// a stall with no event, arrival or timer left returns
     /// [`StallError`].
     ///
     /// # Panics
@@ -823,7 +860,7 @@ impl FlowNet {
         &mut self,
         mut arrivals: Vec<(f64, FlowSpec)>,
         timeline: &FaultTimeline,
-        mut on_complete: impl FnMut(&mut FlowNet, Completion),
+        mut hooks: impl DriveHooks,
     ) -> Result<FaultRunReport, StallError> {
         for e in timeline.events() {
             assert!(
@@ -847,18 +884,19 @@ impl FlowNet {
         let mut events_applied = 0usize;
         let mut last_event_at = None;
         loop {
+            let timer = hooks.next_timer();
             let has_arrivals = pending_arrivals.peek().is_some();
-            if self.active_flow_count() == 0 && !has_arrivals {
+            if self.active_flow_count() == 0 && !has_arrivals && timer.is_none() {
                 break;
             }
             let completion = self.next_completion_time();
             let stalled = self.active_flow_count() > 0 && completion.is_none();
             let next_arrival = pending_arrivals.peek().map(|(t, _)| *t);
             let next_event = pending_events.peek().map(|e| e.at);
-            let mut target = f64::INFINITY;
-            for t in [completion, next_event, next_arrival].into_iter().flatten() {
-                target = target.min(t);
-            }
+            let target = [completion, next_event, next_arrival, timer]
+                .into_iter()
+                .flatten()
+                .fold(f64::INFINITY, f64::min);
             if !target.is_finite() {
                 // Active flows at rate zero with nothing scheduled to
                 // lift them and nothing left to inject: unrecoverable.
@@ -870,7 +908,7 @@ impl FlowNet {
             }
             self.advance_to(at);
             for c in self.take_completed() {
-                on_complete(self, c);
+                hooks.on_complete(self, c);
             }
             while pending_events.peek().is_some_and(|e| e.at <= self.now) {
                 let e = pending_events.next().expect("peeked event");
@@ -884,6 +922,10 @@ impl FlowNet {
                     spec.submitted_at = Some(t);
                 }
                 self.add_flow(spec);
+            }
+            // A timer tied with a completion waits for the next pass.
+            if timer.is_some_and(|t| t <= at) && completion.is_none_or(|c| c > at) {
+                hooks.on_timer(self);
             }
         }
         Ok(FaultRunReport {
@@ -1442,12 +1484,51 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_tied_with_a_completion_fires_after_the_re_solve() {
+        /// Logs (hook, instant, rate epochs so far).
+        struct Client {
+            timers: Vec<f64>,
+            log: Vec<(&'static str, f64, u64)>,
+        }
+        impl DriveHooks for &mut Client {
+            fn on_complete(&mut self, net: &mut FlowNet, c: Completion) {
+                self.log.push(("done", c.at, net.rate_epochs()));
+            }
+            fn next_timer(&mut self) -> Option<f64> {
+                self.timers.first().copied()
+            }
+            fn on_timer(&mut self, net: &mut FlowNet) {
+                self.timers.remove(0);
+                self.log.push(("timer", net.now(), net.rate_epochs()));
+            }
+        }
+        // The flow finishes at t=1, tied with the first timer; the
+        // second timer keeps the loop going with no flow left.
+        let (mut net, r) = net_with(&[100.0]);
+        net.add_flow(FlowSpec::new(vec![r[0]], 100.0));
+        let mut client = Client {
+            timers: vec![1.0, 2.0],
+            log: Vec::new(),
+        };
+        let report = net
+            .drive(Vec::new(), &FaultTimeline::empty(), &mut client)
+            .unwrap();
+        let want = [("done", 1.0, 1), ("timer", 1.0, 2), ("timer", 2.0, 2)];
+        assert_eq!(client.log, want);
+        assert_healthy(&report, 2.0);
+    }
+
+    #[test]
     fn try_run_reports_starved_resource() {
         let (mut net, r) = net_with(&[100.0, 0.0]);
         net.add_flow(FlowSpec::new(vec![r[0], r[1]], 100.0));
         net.advance_to(2.0);
         let err = net
-            .drive(Vec::new(), &FaultTimeline::empty(), |_, _| {})
+            .drive(
+                Vec::new(),
+                &FaultTimeline::empty(),
+                |_: &mut FlowNet, _: Completion| {},
+            )
             .expect_err("stalled network must error");
         assert_eq!(err.at, 2.0);
         assert_eq!(err.starved, vec!["r1".to_string()]);
@@ -1485,9 +1566,11 @@ mod tests {
         };
         let mut done = Vec::new();
         let report = make()
-            .drive(Vec::new(), &FaultTimeline::empty(), |_, c| {
-                done.push((c.tag, c.at))
-            })
+            .drive(
+                Vec::new(),
+                &FaultTimeline::empty(),
+                |_: &mut FlowNet, c: Completion| done.push((c.tag, c.at)),
+            )
             .unwrap();
         assert_healthy(&report, 15.0);
         assert_completions(&done, &[(2, 10.0), (1, 15.0)]);
@@ -1512,9 +1595,11 @@ mod tests {
         assert_completions(&plain_done, &want);
         let mut done = Vec::new();
         let report = make()
-            .drive(Vec::new(), &FaultTimeline::empty(), |_, c| {
-                done.push((c.tag, c.at))
-            })
+            .drive(
+                Vec::new(),
+                &FaultTimeline::empty(),
+                |_: &mut FlowNet, c: Completion| done.push((c.tag, c.at)),
+            )
             .unwrap();
         assert_healthy(&report, 22.07792207792208);
         assert_completions(&done, &want);
@@ -1532,7 +1617,9 @@ mod tests {
             CapacityEvent::new(1.0, r[0], 0.0),
             CapacityEvent::new(5.0, r[0], 1.0),
         ]);
-        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         assert!((report.end - 14.0).abs() < 1e-6, "end = {}", report.end);
         assert!(
             (report.stall_seconds - 4.0).abs() < 1e-9,
@@ -1554,7 +1641,9 @@ mod tests {
             CapacityEvent::new(2.0, r[0], 0.1),
             CapacityEvent::new(4.0, r[0], 1.0),
         ]);
-        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         assert!((report.end - 11.8).abs() < 1e-6, "end = {}", report.end);
         assert_eq!(report.stall_seconds, 0.0);
     }
@@ -1566,7 +1655,7 @@ mod tests {
         net.add_flow(FlowSpec::new(vec![r[0]], 1000.0));
         let tl = FaultTimeline::new(vec![CapacityEvent::new(1.0, r[0], 0.0)]);
         let err = net
-            .drive(Vec::new(), &tl, |_, _| {})
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
             .expect_err("no recovery scheduled");
         assert_eq!(err.at, 1.0);
         assert_eq!(err.starved, vec!["r0".to_string()]);
@@ -1578,7 +1667,9 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         net.add_flow(FlowSpec::new(vec![r[0]], 100.0));
         let tl = FaultTimeline::new(vec![CapacityEvent::new(50.0, r[0], 0.0)]);
-        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         assert!((report.end - 1.0).abs() < 1e-9);
         assert_eq!(report.events_applied, 0);
         assert_eq!(net.resource_capacity(r[0]), 100.0, "event never applied");
@@ -1636,7 +1727,9 @@ mod tests {
             CapacityEvent::new(1.0, m, 0.0),
             CapacityEvent::new(5.0, m, 1.0),
         ]);
-        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         // One aggregate event per edge, but it stands for 4 per-node
         // events — the expanded run would have applied 8.
         assert_eq!(report.events_applied, 8);
@@ -1654,9 +1747,11 @@ mod tests {
         ];
         let mut done = Vec::new();
         let report = net
-            .drive(arrivals, &FaultTimeline::empty(), |_, c| {
-                done.push((c.tag, c.latency))
-            })
+            .drive(
+                arrivals,
+                &FaultTimeline::empty(),
+                |_: &mut FlowNet, c: Completion| done.push((c.tag, c.latency)),
+            )
             .unwrap();
         assert_eq!(done.len(), 2);
         assert!((done[0].1 - 1.0).abs() < 1e-6, "{done:?}");
@@ -1675,9 +1770,11 @@ mod tests {
             (0.5, FlowSpec::new(vec![r[0]], 100.0)),
         ];
         let mut latencies = Vec::new();
-        net.drive(arrivals, &FaultTimeline::empty(), |_, c| {
-            latencies.push(c.latency)
-        })
+        net.drive(
+            arrivals,
+            &FaultTimeline::empty(),
+            |_: &mut FlowNet, c: Completion| latencies.push(c.latency),
+        )
         .unwrap();
         assert_eq!(latencies.len(), 2);
         for l in &latencies {
@@ -1701,7 +1798,9 @@ mod tests {
         ]);
         let mut done = Vec::new();
         let report = net
-            .drive(arrivals, &tl, |_, c| done.push((c.tag, c.latency)))
+            .drive(arrivals, &tl, |_: &mut FlowNet, c: Completion| {
+                done.push((c.tag, c.latency))
+            })
             .unwrap();
         assert_eq!(done.len(), 2);
         assert!((done[0].1 - 2.0).abs() < 1e-6, "{done:?}");
@@ -1718,9 +1817,11 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(2.0, FlowSpec::new(vec![r[0]], 100.0).submitted_at(0.0))];
         let mut latencies = Vec::new();
-        net.drive(arrivals, &FaultTimeline::empty(), |_, c| {
-            latencies.push(c.latency)
-        })
+        net.drive(
+            arrivals,
+            &FaultTimeline::empty(),
+            |_: &mut FlowNet, c: Completion| latencies.push(c.latency),
+        )
         .unwrap();
         assert!((latencies[0] - 3.0).abs() < 1e-6, "{latencies:?}");
     }
@@ -1730,8 +1831,12 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0).with_op(3, 7))];
         let mut ops = Vec::new();
-        net.drive(arrivals, &FaultTimeline::empty(), |_, c| ops.push(c.op))
-            .unwrap();
+        net.drive(
+            arrivals,
+            &FaultTimeline::empty(),
+            |_: &mut FlowNet, c: Completion| ops.push(c.op),
+        )
+        .unwrap();
         assert_eq!(
             ops,
             vec![Some(OpIdentity {
@@ -1747,7 +1852,9 @@ mod tests {
         let (mut net, r) = net_with(&[100.0]);
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0))];
         let tl = FaultTimeline::new(vec![CapacityEvent::new(50.0, r[0], 0.0)]);
-        let report = net.drive(arrivals, &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(arrivals, &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         assert!((report.end - 1.0).abs() < 1e-9);
         assert_eq!(report.events_applied, 0);
         assert_eq!(net.resource_capacity(r[0]), 100.0);
@@ -1760,7 +1867,7 @@ mod tests {
         let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0))];
         let tl = FaultTimeline::new(vec![CapacityEvent::new(0.5, r[0], 0.0)]);
         let err = net
-            .drive(arrivals, &tl, |_, _| {})
+            .drive(arrivals, &tl, |_: &mut FlowNet, _: Completion| {})
             .expect_err("no recovery and no arrival left");
         assert_eq!(err.starved, vec!["r0".to_string()]);
     }
@@ -1782,7 +1889,9 @@ mod tests {
         ]);
         let mut done = Vec::new();
         let report = net
-            .drive(Vec::new(), &tl, |_, c| done.push((c.tag, c.at)))
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, c: Completion| {
+                done.push((c.tag, c.at))
+            })
             .unwrap();
         assert_eq!(report.end.to_bits(), 22.07792207792208f64.to_bits());
         assert_completions(&done, &[(2, 17.57792207792208), (1, 22.07792207792208)]);
@@ -1809,7 +1918,9 @@ mod tests {
                 .map(|&id| CapacityEvent::new(1.0, id, 0.5))
                 .collect(),
         );
-        let report = net.drive(Vec::new(), &tl, |_, _| {}).unwrap();
+        let report = net
+            .drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .unwrap();
         assert_eq!(net.rate_epochs(), healthy.rate_epochs() + 1);
         assert_eq!(report.events_applied, 3);
         assert_eq!(report.last_event_at, Some(1.0));

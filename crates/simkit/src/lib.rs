@@ -9,13 +9,12 @@
 //! device arrays). Concurrently active flows share every resource
 //! max-min fairly; completions are predicted analytically between rate
 //! recomputations, so simulated time advances in O(#rate-changes)
-//! rather than O(#bytes). [`flownet::FlowNet::drive`] is the drive
-//! loop for I/O phases: it interleaves flow completions with timed
-//! capacity events and open-loop arrivals. The data-loader pipeline
-//! behind DLIO and trace replay (`hcs_core::loader`) steps the same
-//! `FlowNet` directly ([`flownet::FlowNet::next_completion_time`],
-//! [`flownet::FlowNet::advance_to`]) to interleave compute steps with
-//! flow completions.
+//! rather than O(#bytes). [`flownet::FlowNet::drive`] is the one drive
+//! loop: it interleaves flow completions with timed capacity events,
+//! open-loop arrivals and a client timer ([`flownet::DriveHooks`]). IOR
+//! phases drive it with a completion closure; the data-loader pipeline
+//! behind DLIO and trace replay (`hcs_core::loader`) is a client whose
+//! timer ends compute steps.
 //!
 //! Supporting modules: [`faults`] (deterministic timed capacity
 //! schedules — outages, degradations, recoveries — consumed by the
@@ -46,8 +45,8 @@ pub use arrivals::{arrival_times, ArrivalDiscipline};
 pub use faults::{CapacityEvent, FaultRunReport, FaultTimeline, StallError};
 pub use flowlog::{AllocSample, FlowLog, FlowLogHandle, FlowRecord};
 pub use flownet::{
-    Completion, EpochFlowSample, FlowId, FlowNet, FlowRecorder, FlowSpec, OpIdentity, ResourceId,
-    ResourceSpec, TeeRecorder,
+    Completion, DriveHooks, EpochFlowSample, FlowId, FlowNet, FlowRecorder, FlowSpec, OpIdentity,
+    ResourceId, ResourceSpec, TeeRecorder,
 };
 pub use intervals::IntervalSet;
 pub use provenance::{OpProvenance, ProvenanceHandle, ProvenanceLog};

@@ -317,7 +317,7 @@ impl ProvenanceHandle {
 mod tests {
     use super::*;
     use crate::faults::FaultTimeline;
-    use crate::flownet::ResourceSpec;
+    use crate::flownet::{Completion, ResourceSpec};
 
     fn assert_conserved(log: &ProvenanceLog) {
         for op in &log.ops {
@@ -399,7 +399,8 @@ mod tests {
             crate::faults::CapacityEvent::new(4.0, r, 0.0),
             crate::faults::CapacityEvent::new(7.0, r, 1.0),
         ]);
-        net.drive(Vec::new(), &tl, |_, _| {}).expect("recovers");
+        net.drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
+            .expect("recovers");
         let log = prov.snapshot();
         assert_eq!(log.ops.len(), 1);
         let op = &log.ops[0];

@@ -15,9 +15,7 @@
 
 use proptest::prelude::*;
 
-use hcs_core::graph::{
-    with_forced_aggregation, AggregateMode, PlanOptions, AGGREGATE_NODE_THRESHOLD,
-};
+use hcs_core::graph::{with_forced_aggregation, PlanOptions, AGGREGATE_NODE_THRESHOLD};
 use hcs_core::runner::{run_phase, run_phase_chaos, run_phase_traced};
 use hcs_core::scenario::FaultSpec;
 use hcs_core::telemetry::Recorder;
@@ -57,16 +55,14 @@ fn partition_is_deterministic_and_splits_on_named_faults() {
     let sys = ShardedSystem::new(2, GIB, 4.0 * GIB, 16.0 * GIB, f64::INFINITY);
     let phase = PhaseSpec::seq_write(MIB, 16.0 * MIB);
     let faults = [FaultSpec::outage(StageKind::ClientMount, 0.1, 0.2).named("t:mount3")];
+    let plan = |net: &mut FlowNet| {
+        with_forced_aggregation(true, || {
+            sys.graph
+                .provision_classed(net, 8, &phase, &PlanOptions::auto(&faults))
+        })
+    };
     let mut net = FlowNet::new();
-    let prov = sys.graph.provision_classed(
-        &mut net,
-        8,
-        &phase,
-        &PlanOptions {
-            aggregate: AggregateMode::Always,
-            faults: &faults,
-        },
-    );
+    let prov = plan(&mut net);
     // lcm(shards)=2, plus the name filter splits node 3 out of the
     // residue-1 class. First-occurrence order over nodes 0..8:
     let members: Vec<Vec<u32>> = prov.classes.iter().map(|c| c.members.clone()).collect();
@@ -83,16 +79,7 @@ fn partition_is_deterministic_and_splits_on_named_faults() {
         .collect();
     assert_eq!(names, vec!["t:mount[4x0]", "t:mount[3x1]", "t:mount3"]);
     // Deterministic: a second provisioning yields the same partition.
-    let mut net2 = FlowNet::new();
-    let prov2 = sys.graph.provision_classed(
-        &mut net2,
-        8,
-        &phase,
-        &PlanOptions {
-            aggregate: AggregateMode::Always,
-            faults: &faults,
-        },
-    );
+    let prov2 = plan(&mut FlowNet::new());
     let members2: Vec<Vec<u32>> = prov2.classes.iter().map(|c| c.members.clone()).collect();
     assert_eq!(members, members2);
 }

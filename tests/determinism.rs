@@ -287,6 +287,39 @@ fn open_loop_points_past_the_knee_are_pinned() {
     }
 }
 
+#[test]
+fn dlio_points_are_pinned() {
+    // ResNet-50 and Cosmoflow smoke runs on two nodes, metered. The
+    // data loader rides the drive loop, whose tie rule (flow completions
+    // before compute ends) orders every step; the other DLIO test
+    // compares two runs with each other, this one pins literals, so a
+    // loader or drive-loop change that moves a bit (an instant, a
+    // solver epoch) fails here. No config checkpoints, so every run
+    // ends on a compute step.
+    use hcs_core::{Scenario, Workload};
+    use hcs_experiments::{run_scenario, Meter};
+    // (system, workload, duration bits, solver epochs).
+    let want: [(&str, &str, u64, u64); 4] = [
+        ("vast-lassen", "ResNet-50", 0x3ff4877b14c16bae, 98),
+        ("vast-lassen", "Cosmoflow", 0x3fffb586fb586fb6, 18),
+        ("gpfs", "ResNet-50", 0x3ff47d6b65a9a808, 98),
+        ("gpfs", "Cosmoflow", 0x3ff0027525460aa9, 96),
+    ];
+    for (system, workload, duration, epochs) in want {
+        let cfg = [resnet50().smoke(), cosmoflow().smoke()]
+            .into_iter()
+            .find(|c| c.name == workload)
+            .expect("known workload");
+        let scenario = Scenario::new(system, Workload::Dlio(cfg)).with_nodes(2);
+        let p = run_scenario(&scenario, None, Meter::Metrics);
+        let got = (
+            p.outcome.dlio().duration.to_bits(),
+            p.metrics.as_ref().unwrap().solver_epochs,
+        );
+        assert_eq!(got, (duration, epochs), "{system} / {workload}");
+    }
+}
+
 mod latency_histogram {
     //! The latency histogram is the other merge algebra behind
     //! worker-count independence: counts are exact integers, so merge

@@ -145,7 +145,7 @@ fn capture() -> ParityFile {
 // `ResilienceMetrics` of the shipped outage example deck — stay
 // bit-identical to the expanded plan's.
 
-use hcs_core::graph::{with_forced_aggregation, AggregateMode, PlanOptions};
+use hcs_core::graph::{with_forced_aggregation, PlanOptions};
 use hcs_core::runner::resolve_faults_planned;
 use hcs_core::{FaultSpec, StageKind};
 use hcs_experiments::deck::{run_scenario, Meter};
@@ -181,34 +181,22 @@ fn named_fault_split_resolves_like_expanded_plan() {
     let phase = PhaseSpec::seq_write(MIB, 64.0 * MIB);
     let faults = vec![FaultSpec::outage(StageKind::ClientMount, 0.2, 0.4).named("vast:mount2")];
 
+    let plan = |net: &mut FlowNet, aggregate| {
+        with_forced_aggregation(aggregate, || {
+            sys.provision_classed(net, 4, 4, &phase, &PlanOptions::auto(&faults))
+        })
+    };
+
     // Expanded plan: per-node resources, the original resolution path.
     let mut net_e = FlowNet::new();
-    let prov_e = sys.provision_classed(
-        &mut net_e,
-        4,
-        4,
-        &phase,
-        &PlanOptions {
-            aggregate: AggregateMode::Never,
-            faults: &faults,
-        },
-    );
-    assert!(prov_e.aggregates.is_empty(), "Never must expand");
+    let prov_e = plan(&mut net_e, false);
+    assert!(prov_e.aggregates.is_empty(), "forced off must expand");
     let tl_e = resolve_faults_planned(&faults, &net_e, &prov_e).expect("expanded resolves");
 
     // Aggregated plan: the named node must be split into a singleton
     // aggregate carrying its exact expanded name.
     let mut net_a = FlowNet::new();
-    let prov_a = sys.provision_classed(
-        &mut net_a,
-        4,
-        4,
-        &phase,
-        &PlanOptions {
-            aggregate: AggregateMode::Always,
-            faults: &faults,
-        },
-    );
+    let prov_a = plan(&mut net_a, true);
     let mount_aggs: Vec<_> = prov_a
         .aggregates
         .iter()
