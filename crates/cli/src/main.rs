@@ -19,7 +19,7 @@
 
 use hcs_core::scenario::Scale;
 use hcs_core::telemetry::Recorder;
-use hcs_core::{Deck, StorageSystem};
+use hcs_core::{Deck, Scenario, StorageSystem, Workload};
 use hcs_dlio::{cosmoflow, resnet50, run_dlio, run_dlio_traced};
 use hcs_experiments::{registry, Figure, Meter};
 use hcs_ior::{run_ior_with, IorConfig, IorRun, WorkloadClass};
@@ -107,6 +107,16 @@ fn workload(name: &str) -> Option<WorkloadClass> {
 fn die(msg: &str) -> ! {
     eprintln!("{msg}\n\n{USAGE}");
     std::process::exit(2)
+}
+
+/// Checks a per-family command's run the way `hcs run` checks a deck
+/// point ([`Scenario::check`], which resolves no system name), dying
+/// with its diagnostic when an argument makes the run invalid.
+fn check_run(cmd: &str, workload: Workload, nodes: u32, full_ppn: u32) {
+    let scenario = Scenario::new(String::new(), workload).with_nodes(nodes);
+    if let Err(e) = scenario.check(full_ppn) {
+        die(&format!("{cmd}: {e}"));
+    }
 }
 
 /// Splits `--trace <path>` out of the arg list, returning the
@@ -357,6 +367,7 @@ fn main() {
                 Scale::Smoke | Scale::Datacenter => IorConfig::smoke(w, nodes, ppn),
                 Scale::Paper => IorConfig::paper_scalability(w, nodes, ppn),
             };
+            check_run("ior", Workload::Ior(cfg.clone()), nodes, full_ppn);
             let mut recorder = Recorder::new();
             let run = IorRun {
                 recorder: trace.is_some().then_some(&mut recorder),
@@ -381,13 +392,14 @@ fn main() {
             }
         }
         "dlio" => {
-            let (sys, _) = resolve_system("dlio", args.get(1));
+            let (sys, full_ppn) = resolve_system("dlio", args.get(1));
             let cfg = match args.get(2).map(String::as_str) {
                 Some("resnet50") | Some("resnet") => resnet50(),
                 Some("cosmoflow") | Some("cosmo") => cosmoflow(),
                 _ => die("dlio: workload must be resnet50 or cosmoflow"),
             };
             let nodes: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
+            check_run("dlio", Workload::Dlio(cfg.clone()), nodes, full_ppn);
             let mut recorder = Recorder::new();
             let r = match &trace {
                 Some(_) => run_dlio_traced(sys.as_ref(), &cfg, nodes, &mut recorder),
@@ -418,6 +430,7 @@ fn main() {
             let nodes: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
             let ppn: u32 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(full_ppn);
             let cfg = IorConfig::paper_scalability(w, nodes, ppn);
+            check_run("explain", Workload::Ior(cfg.clone()), nodes, full_ppn);
             let out = hcs_core::runner::run_phase(sys.as_ref(), nodes, ppn, &cfg.phase());
             println!(
                 "{} — {} @ {} nodes x {} ppn: {:.2} GB/s\n",
@@ -455,7 +468,9 @@ fn main() {
             let (sys, full_ppn) = resolve_system("mdtest", args.get(1));
             let nodes: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
             let ppn: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(full_ppn);
-            let r = run_mdtest(sys.as_ref(), &MdtestConfig::new(nodes, ppn));
+            let cfg = MdtestConfig::new(nodes, ppn);
+            check_run("mdtest", Workload::Mdtest(cfg.clone()), nodes, full_ppn);
+            let r = run_mdtest(sys.as_ref(), &cfg);
             println!("{} @ {} nodes x {} ppn:", r.system, nodes, ppn);
             for op in MetaOp::all() {
                 println!("  {:<8} {:>12.0} ops/s", op.label(), r.rate(op).mean);
@@ -495,6 +510,25 @@ fn main() {
                 }
                 if let Err(e) = hcs_experiments::validate_provenance(&deck) {
                     die(&format!("run: {e}"));
+                }
+            }
+            if trace.is_some() {
+                let points = deck.expand();
+                let mut untraced: Vec<&str> = points
+                    .iter()
+                    .filter(|s| !s.workload.capabilities().tracing)
+                    .map(|s| s.workload.kind())
+                    .collect();
+                let count = untraced.len();
+                if count > 0 {
+                    untraced.sort_unstable();
+                    untraced.dedup();
+                    eprintln!(
+                        "run: the trace omits {count} of {} points ({}): their families have \
+                         no traced engine",
+                        points.len(),
+                        untraced.join(", ")
+                    );
                 }
             }
             println!(

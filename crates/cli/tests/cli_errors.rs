@@ -1,8 +1,9 @@
 //! CLI error paths: a bad deck must exit 2 with a one-line diagnostic,
 //! never a panic backtrace. Exercises the `hcs run` front door with
-//! malformed JSON, an unknown registry key, and a fault deck whose
-//! target stage the planned deployment graph does not contain, plus
-//! the artifact commands' `results/` writes.
+//! malformed JSON, an unknown registry key, a fault deck whose target
+//! stage the planned deployment graph does not contain, and a table of
+//! one-bad-value probes over every workload family, graph edit and
+//! per-family command, plus the artifact commands' `results/` writes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -459,4 +460,298 @@ fn replay_deck_with_bad_trace_exits_2() {
     assert_dies_with(&out, "nothing to replay");
     std::fs::remove_file(&garbage).ok();
     std::fs::remove_file(&byteless).ok();
+}
+
+/// `body` with its single occurrence of `from` replaced by `to`.
+fn edit(body: &str, from: &str, to: &str) -> String {
+    assert_eq!(body.matches(from).count(), 1, "'{from}' in {body}");
+    body.replace(from, to)
+}
+
+/// The IOR probe deck with one IOR field's `from` text set to `to`.
+fn ior_with(from: &str, to: &str) -> String {
+    edit(&fault_deck("[]"), from, to)
+}
+
+/// The IOR probe deck with `edits` as the base scenario's edit list.
+fn ior_edits(edits: &str) -> String {
+    ior_with(r#""faults": [],"#, &format!(r#""edits": {edits},"#))
+}
+
+/// A `SwapTransport` edit to VAST@Wombat's RDMA transport with the given
+/// connection count and client NIC bandwidth.
+fn swap_transport(nconnect: u32, client_nic_bw: f64) -> String {
+    format!(
+        r#"[{{ "SwapTransport": {{ "transport": {{ "kind": "RdmaNfs", "nconnect": {nconnect},
+            "multipath": 2, "per_stream_bw": 750000000, "per_op_latency": 0.00004,
+            "metadata_latency": 0.0003 }}, "client_nic_bw": {client_nic_bw} }} }}]"#
+    )
+}
+
+/// A single-point eight-sample ResNet-50 deck on VAST@Lassen with one
+/// DLIO field's `from` text set to `to`.
+fn dlio_with(from: &str, to: &str) -> String {
+    let deck = r#"{
+  "name": "err-dlio",
+  "base": {
+    "system": "vast-lassen",
+    "workload": {
+      "Dlio": {
+        "name": "ResNet-50", "framework": "PyTorch", "samples": 8,
+        "sample_bytes": 150000, "transfer_size": 150000, "file_per_sample": true,
+        "pattern": "Random", "scaling": "Weak", "epochs": 1, "batch_size": 1,
+        "read_threads": 8, "compute_threads": 8, "compute_time_per_batch": 0.02,
+        "prefetch_depth": 16, "checkpoint_every_batches": 0, "checkpoint_bytes": 0,
+        "seed": 7
+      }
+    }
+  }
+}"#;
+    edit(deck, from, to)
+}
+
+/// A single-point MDTest deck on GPFS with one field's `from` text set
+/// to `to`.
+fn mdtest_with(from: &str, to: &str) -> String {
+    let deck = r#"{
+  "name": "err-mdtest",
+  "base": {
+    "system": "gpfs",
+    "workload": {
+      "Mdtest": { "nodes": 1, "tasks_per_node": 4, "files_per_proc": 10, "reps": 2, "seed": 7 }
+    }
+  }
+}"#;
+    edit(deck, from, to)
+}
+
+#[test]
+fn bad_value_probes_exit_2_with_one_line() {
+    const ONE_NODE: &str = "need at least one node and one process per node";
+    const TS: &str = r#""transfer_size": 1048576.0"#;
+    let outage = r#"[{ "stage": "Gateway", "start": 0.01, "end": 0.02, "fault": "Outage" }]"#;
+    let decks: Vec<(&str, String, &str)> = vec![
+        // IOR parameters.
+        (
+            "ior-ts0",
+            ior_with(TS, r#""transfer_size": 0"#),
+            "transfer size must be positive",
+        ),
+        (
+            "ior-seg0",
+            ior_with(r#""segments": 8"#, r#""segments": 0"#),
+            "at least one segment",
+        ),
+        (
+            "ior-reps0",
+            ior_with(r#""reps": 2"#, r#""reps": 0"#),
+            "at least one repetition",
+        ),
+        (
+            "ior-tpn0",
+            ior_with(r#""tasks_per_node": 4"#, r#""tasks_per_node": 0"#),
+            ONE_NODE,
+        ),
+        (
+            "ior-nodes0",
+            ior_with(r#""nodes": 1,"#, r#""nodes": 0,"#),
+            ONE_NODE,
+        ),
+        (
+            "ior-ppn0",
+            ior_with(r#""full_node": false,"#, r#""ppn": 0, "full_node": false,"#),
+            ONE_NODE,
+        ),
+        (
+            "ior-block",
+            ior_with(r#""block_size": 1048576.0"#, r#""block_size": 4096"#),
+            "IOR requires transferSize <= blockSize",
+        ),
+        (
+            "ior-axis-ts0",
+            ior_with(
+                r#""base": {"#,
+                r#""axes": { "transfer_sizes": [65536, 0] }, "base": {"#,
+            ),
+            "transfer size must be positive",
+        ),
+        (
+            "ior-axis-nodes0",
+            ior_with(r#""base": {"#, r#""axes": { "nodes": [1, 0] }, "base": {"#),
+            ONE_NODE,
+        ),
+        (
+            "ior-nodes-neg",
+            ior_with(r#""nodes": 1,"#, r#""nodes": -1,"#),
+            "expected integer u32",
+        ),
+        // Graph edits.
+        (
+            "edit-scale0",
+            ior_edits(r#"[{ "ScalePool": { "kind": "Gateway", "factor": 0 } }]"#),
+            "factor must be positive and finite",
+        ),
+        (
+            "edit-scale-neg",
+            ior_edits(r#"[{ "ScalePool": { "kind": "Gateway", "factor": -1 } }]"#),
+            "factor must be positive and finite",
+        ),
+        (
+            "edit-set0",
+            ior_edits(r#"[{ "SetPoolCapacity": { "kind": "Gateway", "capacity": 0 } }]"#),
+            "capacity must be positive and finite",
+        ),
+        (
+            "edit-nic0",
+            ior_edits(&swap_transport(8, 0.0)),
+            "client_nic_bw and per_stream_bw must be positive",
+        ),
+        (
+            "edit-nconnect0",
+            ior_edits(&swap_transport(0, 12.5e9)),
+            "nconnect must be at least 1",
+        ),
+        (
+            "edit-widen0",
+            ior_edits(r#"[{ "WidenGateway": { "count": 0 } }]"#),
+            "count must be at least 1",
+        ),
+        // DLIO parameters.
+        (
+            "dlio-samples0",
+            dlio_with(r#""samples": 8"#, r#""samples": 0"#),
+            "at least one sample",
+        ),
+        (
+            "dlio-bytes0",
+            dlio_with(r#""sample_bytes": 150000"#, r#""sample_bytes": 0"#),
+            "sample bytes must be positive",
+        ),
+        (
+            "dlio-batch0",
+            dlio_with(r#""batch_size": 1"#, r#""batch_size": 0"#),
+            "batch size must be positive",
+        ),
+        (
+            "dlio-threads0",
+            dlio_with(r#""read_threads": 8"#, r#""read_threads": 0"#),
+            "at least one read thread",
+        ),
+        (
+            "dlio-prefetch0",
+            dlio_with(r#""prefetch_depth": 16"#, r#""prefetch_depth": 0"#),
+            "prefetch queue must hold at least one batch",
+        ),
+        (
+            "dlio-epochs0",
+            dlio_with(r#""epochs": 1"#, r#""epochs": 0"#),
+            "at least one epoch",
+        ),
+        (
+            "dlio-nodes0",
+            dlio_with(
+                r#""system": "vast-lassen","#,
+                r#""system": "vast-lassen", "nodes": 0,"#,
+            ),
+            ONE_NODE,
+        ),
+        (
+            "dlio-compute-neg",
+            dlio_with(
+                r#""compute_time_per_batch": 0.02"#,
+                r#""compute_time_per_batch": -0.02"#,
+            ),
+            "compute time must be finite and non-negative",
+        ),
+        (
+            "dlio-ckpt0",
+            dlio_with(
+                r#""checkpoint_every_batches": 0"#,
+                r#""checkpoint_every_batches": 4"#,
+            ),
+            "checkpoint_bytes is not positive",
+        ),
+        // MDTest parameters.
+        (
+            "mdtest-files0",
+            mdtest_with(r#""files_per_proc": 10"#, r#""files_per_proc": 0"#),
+            "at least one file",
+        ),
+        (
+            "mdtest-reps0",
+            mdtest_with(r#""reps": 2"#, r#""reps": 0"#),
+            "at least one repetition",
+        ),
+        // A bad workload on a fault deck is caught before the planner.
+        (
+            "fault-ts-neg",
+            edit(&fault_deck(outage), TS, r#""transfer_size": -1"#),
+            "transfer size must be positive",
+        ),
+    ];
+    for (tag, deck, needle) in &decks {
+        let path = temp_deck(tag, deck);
+        let out = hcs(&["run", path.to_str().unwrap(), "--smoke"]);
+        std::fs::remove_file(&path).ok();
+        assert_dies_with(&out, needle);
+    }
+    let commands: [(&[&str], &str); 4] = [
+        (
+            &["ior", "vast-lassen", "scientific", "0"],
+            "ior: need at least one node",
+        ),
+        (
+            &["dlio", "vast-lassen", "resnet50", "0"],
+            "dlio: need at least one node",
+        ),
+        (&["mdtest", "gpfs", "0"], "mdtest: need at least one node"),
+        (
+            &["explain", "gpfs", "scientific", "0"],
+            "explain: need at least one node",
+        ),
+    ];
+    for (args, needle) in commands {
+        assert_dies_with(&hcs(args), needle);
+    }
+}
+
+#[test]
+fn set_pool_capacity_on_an_unplanned_stage_runs() {
+    // Local NVMe plans no gateway: retargeting one leaves the plan as
+    // is, as ScalePool does, and the deck runs.
+    let deck = ior_edits(r#"[{ "SetPoolCapacity": { "kind": "Gateway", "capacity": 5e10 } }]"#)
+        .replace("vast-lassen", "nvme");
+    let dir = temp_workdir("set-pool-nvme");
+    let path = temp_deck("set-pool-nvme", &deck);
+    let out = hcs_in(&dir, &["run", path.to_str().unwrap(), "--smoke"]);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn trace_names_the_points_it_omits() {
+    // MDTest has no traced engine: the run and its trace go ahead, and
+    // one stderr line says which points the trace leaves out.
+    let dir = temp_workdir("untraced");
+    let trace = dir.join("trace.json");
+    let out = hcs_in(
+        &dir,
+        &[
+            "run",
+            "ablation.mdtest",
+            "--smoke",
+            "--trace",
+            trace.to_str().unwrap(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(trace.exists(), "the trace is still written");
+    assert_eq!(
+        stderr.trim_end(),
+        "run: the trace omits 4 of 4 points (mdtest): their families have no traced engine"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -577,13 +577,12 @@ impl DeploymentGraph {
     /// Sets every gateway stage's shard count to `count` — the §VII
     /// future-work experiment ("deploying a custom VAST configuration"):
     /// more parallel gateway nodes widen the funnel without touching the
-    /// per-gateway uplink.
+    /// per-gateway uplink. A zero `count` fails [`Self::validate`] when
+    /// the graph is provisioned.
     pub fn widen_gateway(&mut self, count: u32) {
         for stage in &mut self.stages {
             if stage.kind == StageKind::Gateway {
-                stage.scope = StageScope::Sharded {
-                    count: count.max(1),
-                };
+                stage.scope = StageScope::Sharded { count };
             }
         }
     }

@@ -59,8 +59,8 @@ pub use metrics::{
 pub use outcome::{Bottleneck, PhaseOutcome};
 pub use phase::PhaseSpec;
 pub use scenario::{
-    Arrival, Deck, Discipline, FaultKind, FaultSpec, GraphEdit, Scale, Scenario, SweepAxes,
-    Workload,
+    Arrival, Capabilities, Deck, Discipline, FaultKind, FaultSpec, GraphEdit, Scale, Scenario,
+    SweepAxes, Workload,
 };
 pub use system::{MetadataProfile, Provisioned, StorageSystem};
 pub use telemetry::{MetricsSummary, Recorder, UtilizationTimeline};

@@ -106,19 +106,33 @@ impl PhaseSpec {
         self.bytes_per_rank * nodes as f64 * ppn as f64
     }
 
-    /// Validates the spec.
-    ///
-    /// # Panics
-    /// Panics on non-positive sizes or a transfer larger than the phase.
-    pub fn validate(&self) {
-        assert!(self.transfer_size > 0.0, "transfer size must be positive");
-        assert!(self.bytes_per_rank > 0.0, "bytes per rank must be positive");
-        assert!(
-            self.transfer_size <= self.bytes_per_rank,
-            "transfer ({}) larger than phase ({})",
-            self.transfer_size,
-            self.bytes_per_rank
-        );
+    /// Checks the spec, returning a one-line diagnostic on failure.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.transfer_size > 0.0 && self.transfer_size.is_finite()) {
+            return Err(format!(
+                "transfer size must be positive and finite (got {})",
+                self.transfer_size
+            ));
+        }
+        if !(self.bytes_per_rank > 0.0 && self.bytes_per_rank.is_finite()) {
+            return Err(format!(
+                "bytes per rank must be positive and finite (got {})",
+                self.bytes_per_rank
+            ));
+        }
+        if self.transfer_size > self.bytes_per_rank {
+            return Err(format!(
+                "transfer ({}) larger than phase ({})",
+                self.transfer_size, self.bytes_per_rank
+            ));
+        }
+        if !(self.metadata_ops_per_byte >= 0.0 && self.metadata_ops_per_byte.is_finite()) {
+            return Err(format!(
+                "metadata ops per byte must be finite and non-negative (got {})",
+                self.metadata_ops_per_byte
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -161,8 +175,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "larger than phase")]
-    fn validate_rejects_oversized_transfer() {
-        PhaseSpec::seq_write(2.0 * MIB, MIB).validate();
+    fn check_rejects_oversized_transfer() {
+        let err = PhaseSpec::seq_write(2.0 * MIB, MIB).check().unwrap_err();
+        assert!(err.contains("larger than phase"), "{err}");
+        assert_eq!(PhaseSpec::seq_write(MIB, MIB).check(), Ok(()));
     }
 }

@@ -205,8 +205,9 @@ pub(crate) struct Observe<'a> {
 /// Runs one phase at the given scale, noise-free.
 ///
 /// # Panics
-/// Panics if the phase is invalid, the system provisions a path for the
-/// wrong number of nodes, or flows stall on a zero-capacity resource.
+/// Panics with [`PhaseSpec::check`]'s diagnostic on an invalid phase,
+/// if the system provisions a path for the wrong number of nodes, or if
+/// flows stall on a zero-capacity resource.
 pub fn run_phase(
     system: &dyn StorageSystem,
     nodes: u32,
@@ -297,7 +298,7 @@ fn execute(
     faults: &[FaultSpec],
     observe: Observe<'_>,
 ) -> Result<(Measured, FaultRunReport, ChaosEvidence), FaultPhaseError> {
-    phase.validate();
+    phase.check().unwrap_or_else(|e| panic!("{e}"));
     assert!(nodes >= 1, "need at least one node");
     assert!(ppn >= 1, "need at least one rank per node");
 

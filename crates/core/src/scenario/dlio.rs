@@ -132,35 +132,42 @@ impl DlioConfig {
         self
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on inconsistent parameters.
-    pub fn validate(&self) {
-        assert!(self.samples >= 1, "need at least one sample");
-        assert!(self.sample_bytes > 0.0, "sample bytes must be positive");
-        assert!(self.transfer_size > 0.0, "transfer size must be positive");
-        assert!(
-            self.transfer_size <= self.sample_bytes,
-            "transfer larger than sample"
-        );
-        assert!(self.epochs >= 1, "need at least one epoch");
-        assert!(self.batch_size >= 1, "batch size must be positive");
-        assert!(self.read_threads >= 1, "need at least one read thread");
-        assert!(
-            self.prefetch_depth >= self.batch_size,
-            "prefetch queue must hold at least one batch"
-        );
-        assert!(
-            self.compute_time_per_batch >= 0.0,
-            "compute time must be non-negative"
-        );
-        if self.checkpoint_every_batches > 0 {
-            assert!(
-                self.checkpoint_bytes > 0.0,
-                "checkpointing enabled but checkpoint_bytes is zero"
-            );
+    /// Checks the configuration, returning a one-line diagnostic on
+    /// failure.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        let fail = |msg: &str| Err(msg.to_string());
+        if self.samples == 0 {
+            return fail("need at least one sample");
         }
+        if !positive(self.sample_bytes) {
+            return fail("sample bytes must be positive and finite");
+        }
+        if !positive(self.transfer_size) {
+            return fail("transfer size must be positive and finite");
+        }
+        if self.transfer_size > self.sample_bytes {
+            return fail("transfer larger than sample");
+        }
+        if self.epochs == 0 {
+            return fail("need at least one epoch");
+        }
+        if self.batch_size == 0 {
+            return fail("batch size must be positive");
+        }
+        if self.read_threads == 0 {
+            return fail("need at least one read thread");
+        }
+        if self.prefetch_depth < self.batch_size {
+            return fail("prefetch queue must hold at least one batch");
+        }
+        if !(self.compute_time_per_batch >= 0.0 && self.compute_time_per_batch.is_finite()) {
+            return fail("compute time must be finite and non-negative");
+        }
+        if self.checkpoint_every_batches > 0 && !positive(self.checkpoint_bytes) {
+            return fail("checkpointing enabled but checkpoint_bytes is not positive");
+        }
+        Ok(())
     }
 
     /// Shrinks the dataset (and epochs) for fast CI runs, preserving
@@ -220,11 +227,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "transfer larger than sample")]
     fn transfer_bigger_than_sample_rejected() {
         let mut c = sample_weak();
         c.transfer_size = c.sample_bytes * 2.0;
-        c.validate();
+        let err = c.check().unwrap_err();
+        assert!(err.contains("transfer larger than sample"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_every_degenerate_field() {
+        assert_eq!(sample_weak().check(), Ok(()));
+        let err = |edit: fn(&mut DlioConfig)| {
+            let mut c = sample_weak();
+            edit(&mut c);
+            c.check().unwrap_err()
+        };
+        assert!(err(|c| c.samples = 0).contains("at least one sample"));
+        assert!(err(|c| c.sample_bytes = 0.0).contains("sample bytes must be positive"));
+        assert!(err(|c| c.transfer_size = -1.0).contains("transfer size must be positive"));
+        assert!(err(|c| c.epochs = 0).contains("at least one epoch"));
+        assert!(err(|c| c.batch_size = 0).contains("batch size must be positive"));
+        assert!(err(|c| c.read_threads = 0).contains("at least one read thread"));
+        assert!(err(|c| c.prefetch_depth = 0).contains("hold at least one batch"));
+        assert!(err(|c| c.compute_time_per_batch = -1e-3).contains("compute time"));
+        assert!(err(|c| c.checkpoint_every_batches = 4).contains("checkpoint_bytes"));
     }
 
     #[test]
@@ -235,7 +261,7 @@ mod tests {
         let s = c.smoke();
         assert_eq!(s.samples, 64);
         assert_eq!(s.epochs, 2);
-        s.validate();
+        assert_eq!(s.check(), Ok(()));
     }
 
     #[test]

@@ -144,19 +144,28 @@ impl IorConfig {
         phase
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on inconsistent geometry.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 1, "need at least one node");
-        assert!(self.tasks_per_node >= 1, "need at least one task");
-        assert!(self.reps >= 1, "need at least one repetition");
-        assert!(
-            self.transfer_size <= self.block_size,
-            "IOR requires transferSize <= blockSize"
-        );
-        self.phase().validate();
+    /// Checks the configuration, returning a one-line diagnostic on
+    /// failure.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("need at least one node".into());
+        }
+        if self.tasks_per_node == 0 {
+            return Err("need at least one task".into());
+        }
+        if self.reps == 0 {
+            return Err("need at least one repetition".into());
+        }
+        if self.segments == 0 {
+            return Err("need at least one segment".into());
+        }
+        if self.transfer_size > self.block_size {
+            return Err(format!(
+                "IOR requires transferSize <= blockSize (got {} > {})",
+                self.transfer_size, self.block_size
+            ));
+        }
+        self.phase().check()
     }
 }
 
@@ -205,11 +214,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "transferSize <= blockSize")]
     fn oversized_transfer_rejected() {
         let mut c = IorConfig::smoke(WorkloadClass::Scientific, 1, 1);
         c.transfer_size = c.block_size * 2.0;
-        c.validate();
+        let err = c.check().unwrap_err();
+        assert!(err.contains("transferSize <= blockSize"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_every_empty_dimension() {
+        let err = |edit: fn(&mut IorConfig)| {
+            let mut c = IorConfig::smoke(WorkloadClass::Scientific, 1, 1);
+            assert_eq!(c.check(), Ok(()));
+            edit(&mut c);
+            c.check().unwrap_err()
+        };
+        assert!(err(|c| c.nodes = 0).contains("at least one node"));
+        assert!(err(|c| c.tasks_per_node = 0).contains("at least one task"));
+        assert!(err(|c| c.reps = 0).contains("at least one repetition"));
+        assert!(err(|c| c.segments = 0).contains("at least one segment"));
+        assert!(err(|c| c.transfer_size = 0.0).contains("transfer size must be positive"));
+        assert!(err(|c| c.transfer_size = -1.0).contains("transfer size must be positive"));
     }
 
     #[test]

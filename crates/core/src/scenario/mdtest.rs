@@ -40,15 +40,23 @@ impl MdtestConfig {
         self.files_per_proc as f64 * self.nodes as f64 * self.tasks_per_node as f64
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on zero-sized dimensions.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 1, "need at least one node");
-        assert!(self.tasks_per_node >= 1, "need at least one task");
-        assert!(self.files_per_proc >= 1, "need at least one file");
-        assert!(self.reps >= 1, "need at least one repetition");
+    /// Checks the configuration, returning a one-line diagnostic on
+    /// failure.
+    pub fn check(&self) -> Result<(), String> {
+        let fail = |msg: &str| Err(msg.to_string());
+        if self.nodes == 0 {
+            return fail("need at least one node");
+        }
+        if self.tasks_per_node == 0 {
+            return fail("need at least one task");
+        }
+        if self.files_per_proc == 0 {
+            return fail("need at least one file");
+        }
+        if self.reps == 0 {
+            return fail("need at least one repetition");
+        }
+        Ok(())
     }
 }
 
@@ -60,15 +68,19 @@ mod tests {
     fn totals_and_validation() {
         let c = MdtestConfig::new(4, 16);
         assert_eq!(c.total_ops(), 4.0 * 16.0 * 1000.0);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "at least one file")]
     fn zero_files_rejected() {
         let mut c = MdtestConfig::new(1, 1);
         c.files_per_proc = 0;
-        c.validate();
+        let err = c.check().unwrap_err();
+        assert!(err.contains("at least one file"), "{err}");
+        c.files_per_proc = 1;
+        c.reps = 0;
+        let err = c.check().unwrap_err();
+        assert!(err.contains("at least one repetition"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::JobScript;
+use crate::campaign::{JobScript, JobStep};
 use crate::graph::{DeploymentGraph, StageKind};
 use hcs_netsim::TransportSpec;
 
@@ -176,23 +176,62 @@ pub enum GraphEdit {
 }
 
 impl GraphEdit {
-    /// Applies the edit to a planned deployment graph.
+    /// Checks the edit's own fields, returning a one-line diagnostic on
+    /// failure. What the edit does to a particular plan is the
+    /// planner's to judge when it provisions.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        match self {
+            GraphEdit::WidenGateway { count: 0 } => {
+                Err("WidenGateway: count must be at least 1 (got 0)".into())
+            }
+            GraphEdit::ScalePool { kind, factor } if !positive(*factor) => Err(format!(
+                "ScalePool {}: factor must be positive and finite (got {factor})",
+                kind.label()
+            )),
+            GraphEdit::SetPoolCapacity { kind, capacity } if !positive(*capacity) => Err(format!(
+                "SetPoolCapacity {}: capacity must be positive and finite (got {capacity})",
+                kind.label()
+            )),
+            GraphEdit::SwapTransport {
+                transport: t,
+                client_nic_bw: nic,
+            } => {
+                let problem = if t.nconnect == 0 {
+                    "nconnect must be at least 1"
+                } else if !(*nic > 0.0 && t.per_stream_bw > 0.0) {
+                    "client_nic_bw and per_stream_bw must be positive"
+                } else if !positive(t.node_connection_bw(*nic)) {
+                    "client_nic_bw and per_stream_bw cannot both be unbounded"
+                } else if !(t.metadata_latency >= 0.0 && t.metadata_latency.is_finite()) {
+                    "metadata_latency must be finite and non-negative"
+                } else {
+                    return Ok(());
+                };
+                Err(format!(
+                    "SwapTransport: {problem} (got nconnect {}, client_nic_bw {nic}, \
+                     per_stream_bw {}, metadata_latency {})",
+                    t.nconnect, t.per_stream_bw, t.metadata_latency
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Applies the edit to a planned deployment graph. An edit of a
+    /// stage kind the graph does not plan leaves it unchanged.
     ///
     /// # Panics
-    /// Panics if a [`GraphEdit::SetPoolCapacity`] names a stage kind
-    /// the graph does not plan, or on a non-positive scale factor.
+    /// Panics on an edit that fails [`GraphEdit::check`] (or leaves the
+    /// graph for the planner to reject).
     pub fn apply(&self, graph: &mut DeploymentGraph) {
         match self {
             GraphEdit::WidenGateway { count } => graph.widen_gateway(*count),
             GraphEdit::ScalePool { kind, factor } => graph.scale_pool(*kind, *factor),
             GraphEdit::SetPoolCapacity { kind, capacity } => {
-                let current = graph.capacity_of(*kind).unwrap_or_else(|| {
-                    panic!(
-                        "SetPoolCapacity: deployment plans no {} stage",
-                        kind.label()
-                    )
-                });
-                graph.scale_pool(*kind, capacity / current);
+                if let Some(current) = graph.capacity_of(*kind) {
+                    graph.scale_pool(*kind, capacity / current);
+                }
             }
             GraphEdit::SwapTransport {
                 transport,
@@ -230,18 +269,77 @@ impl Workload {
         }
     }
 
-    /// Validates the embedded configuration.
-    ///
-    /// # Panics
-    /// Panics on inconsistent parameters (same contract as the configs'
-    /// own `validate`).
-    pub fn validate(&self) {
+    /// Checks the embedded configuration, returning a one-line
+    /// diagnostic on failure: every config's own `check`, every job
+    /// step, and a replay's transfer-size override.
+    pub fn check(&self) -> Result<(), String> {
         match self {
-            Workload::Ior(c) => c.validate(),
-            Workload::Dlio(c) => c.validate(),
-            Workload::Mdtest(c) => c.validate(),
-            Workload::Job(j) => assert!(!j.steps.is_empty(), "job has no steps"),
-            Workload::Replay(_) => {}
+            Workload::Ior(c) => c.check(),
+            Workload::Dlio(c) => c.check(),
+            Workload::Mdtest(c) => c.check(),
+            Workload::Job(j) if j.steps.is_empty() => Err("job has no steps".into()),
+            Workload::Job(j) => j.steps.iter().try_for_each(|step| match step {
+                JobStep::Compute { seconds } if !(*seconds >= 0.0 && seconds.is_finite()) => {
+                    Err(format!(
+                        "job compute step must last a finite, non-negative time (got {seconds})"
+                    ))
+                }
+                JobStep::Compute { .. } => Ok(()),
+                JobStep::Io { label, phase } => phase
+                    .check()
+                    .map_err(|e| format!("job step '{label}': {e}")),
+            }),
+            Workload::Replay(c) => match c.transfer_size {
+                Some(ts) if !(ts > 0.0 && ts.is_finite()) => Err(format!(
+                    "replay transfer size must be positive and finite (got {ts})"
+                )),
+                _ => Ok(()),
+            },
+        }
+    }
+
+    /// The family's row of the capability table — what its engine
+    /// supports beyond a plain closed-loop run. Every executor decision
+    /// on faults, open-loop arrivals, provenance and tracing reads it:
+    ///
+    /// | family | faults | open loop | provenance | tracing |
+    /// |--------|--------|-----------|------------|---------|
+    /// | IOR    | yes    | yes       | yes        | yes     |
+    /// | DLIO   | no     | no        | no         | yes     |
+    /// | MDTest | no     | no        | no         | no      |
+    /// | job    | no     | no        | no         | yes     |
+    /// | replay | no     | no        | no         | no      |
+    pub fn capabilities(&self) -> Capabilities {
+        let traced = Capabilities {
+            faults: false,
+            open_loop: false,
+            provenance: false,
+            tracing: true,
+        };
+        match self {
+            Workload::Ior(_) => Capabilities {
+                faults: true,
+                open_loop: true,
+                provenance: true,
+                ..traced
+            },
+            Workload::Dlio(_) | Workload::Job(_) => traced,
+            Workload::Mdtest(_) | Workload::Replay(_) => Capabilities {
+                tracing: false,
+                ..traced
+            },
+        }
+    }
+
+    /// `Ok` when the family's row has the capability `has` picks, else
+    /// the diagnostic `"{what} the IOR family only (got {kind})"` —
+    /// IOR is the only row with faults, open-loop arrivals or
+    /// provenance.
+    pub fn require(&self, has: fn(Capabilities) -> bool, what: &str) -> Result<(), String> {
+        if has(self.capabilities()) {
+            Ok(())
+        } else {
+            Err(format!("{what} the IOR family only (got {})", self.kind()))
         }
     }
 
@@ -282,6 +380,21 @@ impl Workload {
         }
         self
     }
+}
+
+/// One row of the capability table ([`Workload::capabilities`]): what a
+/// workload family's engine supports beyond a plain closed-loop run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Capabilities {
+    /// Windowed fault injection ([`Scenario::faults`]).
+    pub faults: bool,
+    /// Open-loop arrivals ([`Arrival::Open`]).
+    pub open_loop: bool,
+    /// The per-op latency-provenance probe.
+    pub provenance: bool,
+    /// Flow and resource telemetry into a recorder (`--trace`,
+    /// `--metrics`); an untraced family contributes only its result.
+    pub tracing: bool,
 }
 
 /// What happens to a faulted stage inside its `[start, end)` window.
@@ -711,6 +824,41 @@ impl Scenario {
         w
     }
 
+    /// Checks everything about this point that needs neither the system
+    /// registry nor a deployment plan, returning a one-line diagnostic
+    /// on the first problem: the run shape, the workload with every
+    /// override folded in, the graph edits, the arrival spec, the fault
+    /// windows, and the capability-table row for any faults or
+    /// open-loop arrivals. `full_ppn` is the machine's full-node
+    /// process count. This is the one definition of a valid point:
+    /// `validate_deck` calls it before planning anything, and
+    /// `run_scenario` before running.
+    pub fn check(&self, full_ppn: u32) -> Result<(), String> {
+        let (nodes, ppn) = (self.run_nodes(), self.run_ppn(full_ppn));
+        if nodes == 0 || ppn == 0 {
+            return Err(format!(
+                "need at least one node and one process per node (got {nodes} x {ppn})"
+            ));
+        }
+        self.resolved_workload(full_ppn).check()?;
+        for edit in &self.edits {
+            edit.check()?;
+        }
+        self.arrival.check()?;
+        if !self.arrival.is_closed() {
+            self.workload
+                .require(|c| c.open_loop, "open-loop arrivals support")?;
+        }
+        if !self.faults.is_empty() {
+            self.workload
+                .require(|c| c.faults, "fault injection supports")?;
+        }
+        for spec in &self.faults {
+            spec.check()?;
+        }
+        Ok(())
+    }
+
     /// Client node count the executor runs this scenario at.
     pub fn run_nodes(&self) -> u32 {
         self.nodes.unwrap_or(match &self.workload {
@@ -1076,7 +1224,7 @@ mod tests {
             Workload::Ior(c) => {
                 assert_eq!(c.transfer_size, 4.0 * 1024.0 * 1024.0);
                 assert!(c.block_size >= c.transfer_size, "stays valid");
-                c.validate();
+                assert_eq!(c.check(), Ok(()));
             }
             _ => panic!("ior workload"),
         }
@@ -1381,6 +1529,187 @@ mod tests {
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].arrival, Arrival::Closed);
         assert_eq!(points[0].name, "vast-lassen/r100");
+    }
+
+    #[test]
+    fn graph_edit_check_rejects_degenerate_fields() {
+        let mut rdma = TransportSpec::nfs_rdma(8, 2);
+        let good = [
+            GraphEdit::WidenGateway { count: 1 },
+            GraphEdit::ScalePool {
+                kind: StageKind::OpsPool,
+                factor: 3.0,
+            },
+            GraphEdit::SetPoolCapacity {
+                kind: StageKind::Gateway,
+                capacity: 5e10,
+            },
+            GraphEdit::SwapTransport {
+                transport: rdma.clone(),
+                client_nic_bw: 12.5e9,
+            },
+        ];
+        for edit in &good {
+            assert_eq!(edit.check(), Ok(()), "{edit:?}");
+        }
+        rdma.nconnect = 0;
+        let bad = [
+            (
+                GraphEdit::WidenGateway { count: 0 },
+                "count must be at least 1",
+            ),
+            (
+                GraphEdit::ScalePool {
+                    kind: StageKind::Gateway,
+                    factor: -1.0,
+                },
+                "factor must be positive",
+            ),
+            (
+                GraphEdit::SetPoolCapacity {
+                    kind: StageKind::Gateway,
+                    capacity: 0.0,
+                },
+                "capacity must be positive",
+            ),
+            (
+                GraphEdit::SwapTransport {
+                    transport: rdma,
+                    client_nic_bw: 12.5e9,
+                },
+                "nconnect must be at least 1",
+            ),
+            (
+                GraphEdit::SwapTransport {
+                    transport: TransportSpec::nfs_rdma(8, 2),
+                    client_nic_bw: 0.0,
+                },
+                "client_nic_bw and per_stream_bw must be positive",
+            ),
+        ];
+        for (edit, needle) in bad {
+            let err = edit.check().unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+    }
+
+    #[test]
+    fn set_pool_capacity_on_an_unplanned_kind_is_a_no_op() {
+        let mut g = DeploymentGraph::new(1e9, 0.0, 0.0).stage(crate::graph::Stage::shared(
+            "toy:pool",
+            StageKind::ServerPool,
+            1e9,
+        ));
+        let before = g.clone();
+        GraphEdit::SetPoolCapacity {
+            kind: StageKind::Gateway,
+            capacity: 5e10,
+        }
+        .apply(&mut g);
+        assert_eq!(g, before);
+    }
+
+    #[test]
+    fn only_ior_has_faults_open_loop_and_provenance() {
+        // Workload::require's diagnostic names IOR as the only family
+        // with these capabilities; the table must agree.
+        let families = [
+            Workload::Ior(IorConfig::smoke(WorkloadClass::Scientific, 1, 1)),
+            Workload::Dlio(DlioConfig {
+                name: "toy".into(),
+                framework: "PyTorch".into(),
+                samples: 8,
+                sample_bytes: 1e6,
+                transfer_size: 1e6,
+                file_per_sample: false,
+                pattern: hcs_devices::AccessPattern::Sequential,
+                scaling: Scaling::Weak,
+                epochs: 1,
+                batch_size: 1,
+                read_threads: 1,
+                compute_threads: 1,
+                compute_time_per_batch: 0.0,
+                prefetch_depth: 1,
+                checkpoint_every_batches: 0,
+                checkpoint_bytes: 0.0,
+                seed: 1,
+            }),
+            Workload::Mdtest(MdtestConfig::new(1, 1)),
+            Workload::Job(JobScript::checkpoint_restart(1.0, 1, 1e6, 1e6)),
+            Workload::Replay(ReplayConfig::default()),
+        ];
+        for w in &families {
+            let c = w.capabilities();
+            let ior = w.kind() == "ior";
+            assert_eq!(
+                (c.faults, c.open_loop, c.provenance),
+                (ior, ior, ior),
+                "{}",
+                w.kind()
+            );
+            assert_eq!(w.check(), Ok(()), "{}", w.kind());
+        }
+        let err = families[2]
+            .require(|c| c.faults, "fault injection supports")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "fault injection supports the IOR family only (got mdtest)"
+        );
+    }
+
+    #[test]
+    fn workload_check_covers_job_steps_and_replay_transfer_size() {
+        let mut job = JobScript::checkpoint_restart(1.0, 1, 1e6, 1e6);
+        job.steps.push(JobStep::Compute { seconds: -1.0 });
+        let err = Workload::Job(job).check().unwrap_err();
+        assert!(err.contains("finite, non-negative time"), "{err}");
+        let job = JobScript::checkpoint_restart(1.0, 1, 1e6, 2e6);
+        let err = Workload::Job(job).check().unwrap_err();
+        assert!(err.contains("job step 'restart': transfer"), "{err}");
+        let err = Workload::Job(JobScript {
+            name: "empty".into(),
+            steps: Vec::new(),
+        })
+        .check()
+        .unwrap_err();
+        assert_eq!(err, "job has no steps");
+        let replay = ReplayConfig {
+            transfer_size: Some(-1.0),
+            ..ReplayConfig::default()
+        };
+        let err = Workload::Replay(replay).check().unwrap_err();
+        assert!(
+            err.contains("replay transfer size must be positive"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn scenario_check_composes_shape_workload_edits_arrival_and_faults() {
+        assert_eq!(ior_scenario().check(44), Ok(()));
+        let err = ior_scenario().with_nodes(0).check(44).unwrap_err();
+        assert!(err.contains("at least one node"), "{err}");
+        let no_ppn = Scenario::new("gpfs", Workload::Mdtest(MdtestConfig::new(1, 1))).with_ppn(0);
+        assert!(no_ppn.check(44).unwrap_err().contains("(got 1 x 0)"));
+        let mut edited = ior_scenario();
+        edited.edits = vec![GraphEdit::WidenGateway { count: 0 }];
+        assert!(edited.check(44).unwrap_err().contains("WidenGateway"));
+        let open = ior_scenario().with_arrival(Arrival::Open {
+            rate: 0.0,
+            discipline: Discipline::Poisson,
+            duration: 1.0,
+            seed: 0,
+        });
+        assert!(open.check(44).unwrap_err().contains("arrival rate"));
+        let faulted = Scenario::new("gpfs", Workload::Mdtest(MdtestConfig::new(1, 1)))
+            .with_fault(FaultSpec::outage(StageKind::Gateway, 1.0, 2.0));
+        assert_eq!(
+            faulted.check(44).unwrap_err(),
+            "fault injection supports the IOR family only (got mdtest)"
+        );
+        let window = ior_scenario().with_fault(FaultSpec::outage(StageKind::Gateway, 2.0, 1.0));
+        assert!(window.check(44).unwrap_err().contains("end must be finite"));
     }
 
     #[test]

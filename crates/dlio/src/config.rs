@@ -44,11 +44,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "transfer larger than sample")]
     fn transfer_bigger_than_sample_rejected() {
         let mut c = resnet50();
         c.transfer_size = c.sample_bytes * 2.0;
-        c.validate();
+        let err = c.check().unwrap_err();
+        assert!(err.contains("transfer larger than sample"), "{err}");
     }
 
     #[test]
@@ -56,6 +56,6 @@ mod tests {
         let c = cosmoflow().smoke();
         assert!(c.samples <= 64);
         assert!(c.epochs <= 2);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 }

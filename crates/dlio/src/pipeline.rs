@@ -31,8 +31,9 @@ use crate::result::DlioResult;
 /// Runs a DLIO workload on a storage system at the given node count.
 ///
 /// # Panics
-/// Panics if the configuration is invalid or the pipeline deadlocks
-/// (which would indicate a simulator bug).
+/// Panics with [`DlioConfig::check`]'s diagnostic on an invalid
+/// configuration, on zero nodes, or if the pipeline deadlocks (which
+/// would indicate a simulator bug).
 pub fn run_dlio(system: &dyn StorageSystem, config: &DlioConfig, nodes: u32) -> DlioResult {
     run_dlio_impl(system, config, nodes, None)
 }
@@ -56,7 +57,7 @@ fn run_dlio_impl(
     nodes: u32,
     recorder: Option<&mut Recorder>,
 ) -> DlioResult {
-    config.validate();
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     assert!(nodes >= 1, "need at least one node");
 
     let phase = config.phase(nodes);

@@ -92,8 +92,8 @@ mod tests {
 
     #[test]
     fn configs_validate() {
-        resnet50().validate();
-        cosmoflow().validate();
+        assert_eq!(resnet50().check(), Ok(()));
+        assert_eq!(cosmoflow().check(), Ok(()));
     }
 
     #[test]

@@ -51,18 +51,13 @@ fn prepare_point(scenario: &Scenario) -> Result<PointCtx, String> {
             scenario.name
         ));
     }
+    scenario
+        .workload
+        .require(|c| c.faults, "fault fuzzing supports")
+        .map_err(|e| format!("chaos campaign point '{}': {e}", scenario.name))?;
     let (system, full_ppn) = build_system(scenario);
-    let workload = scenario.resolved_workload(full_ppn);
-    let config = match &workload {
-        Workload::Ior(c) => c,
-        other => {
-            return Err(format!(
-                "chaos campaign point '{}': fault fuzzing supports the IOR family \
-                 only (got {})",
-                scenario.name,
-                other.kind()
-            ))
-        }
+    let Workload::Ior(config) = scenario.resolved_workload(full_ppn) else {
+        unreachable!("the capability table admits faults on the IOR family only");
     };
     let phase = config.phase();
     let nodes = scenario.run_nodes();

@@ -247,9 +247,9 @@ pub fn run_workload_on(
     }
 }
 
-/// [`run_workload_on`] with telemetry. MDTest and replay have no traced
-/// twins, so those families run untraced and only contribute their
-/// results.
+/// [`run_workload_on`] with telemetry. A family whose capability-table
+/// row has no tracing (MDTest, replay) runs untraced and only
+/// contributes its result.
 pub fn run_workload_on_traced(
     system: &dyn StorageSystem,
     workload: &Workload,
@@ -257,6 +257,9 @@ pub fn run_workload_on_traced(
     ppn: u32,
     recorder: &mut Recorder,
 ) -> WorkloadOutcome {
+    if !workload.capabilities().tracing {
+        return run_workload_on(system, workload, nodes, ppn);
+    }
     match workload {
         Workload::Ior(c) => {
             let run = IorRun {
@@ -268,7 +271,9 @@ pub fn run_workload_on_traced(
         }
         Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio_traced(system, c, nodes, recorder)),
         Workload::Job(j) => WorkloadOutcome::Job(j.run_traced(system, nodes, ppn, recorder)),
-        Workload::Mdtest(_) | Workload::Replay(_) => run_workload_on(system, workload, nodes, ppn),
+        Workload::Mdtest(_) | Workload::Replay(_) => {
+            unreachable!("the capability table marks {} untraced", workload.kind())
+        }
     }
 }
 
@@ -292,12 +297,13 @@ fn open_loop_latency(workload: &Workload, open: &OpenLoopOutcome) -> Vec<OpLaten
 }
 
 /// Checks a deck before execution, returning a one-line diagnostic on
-/// the first problem: an unknown system name, fault injection or
-/// open-loop arrivals on a workload family that does not support them
-/// (IOR only today), a malformed fault window or arrival spec, an
-/// `offered_load` sweep over a closed-loop base, a fault targeting a
-/// stage the scenario's deployment plan does not contain, or a replay
-/// trace that is missing, unparseable or has no replayable reads. `hcs run`
+/// the first problem: an `offered_load` sweep over a closed-loop base,
+/// an unknown system name, a point that fails [`Scenario::check`] (run
+/// shape, workload parameters, graph edits, arrival spec, fault
+/// windows, and faults or open-loop arrivals on a family whose
+/// capability-table row lacks them), a replay trace that is missing,
+/// unparseable or has no replayable reads, or a fault targeting a
+/// stage the scenario's deployment plan does not contain. `hcs run`
 /// calls this up front so bad decks exit with a message instead of a
 /// panic backtrace.
 ///
@@ -329,37 +335,17 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
             )
         })?;
         scenario
-            .arrival
-            .check()
+            .check(entry.full_ppn)
             .map_err(|e| format!("scenario '{}': {e}", scenario.name))?;
-        if !scenario.arrival.is_closed() && !matches!(scenario.workload, Workload::Ior(_)) {
-            return Err(format!(
-                "scenario '{}': open-loop arrivals support the IOR family only (got {})",
-                scenario.name,
-                scenario.workload.kind()
-            ));
-        }
         if let Workload::Replay(c) = &scenario.workload {
             load_replay_trace(c).map_err(|e| format!("scenario '{}': {e}", scenario.name))?;
         }
         if scenario.faults.is_empty() {
             continue;
         }
-        let workload = scenario.resolved_workload(entry.full_ppn);
-        let config = match &workload {
-            Workload::Ior(c) => c,
-            other => {
-                return Err(format!(
-                    "scenario '{}': fault injection supports the IOR family only (got {})",
-                    scenario.name,
-                    other.kind()
-                ))
-            }
+        let Workload::Ior(config) = scenario.resolved_workload(entry.full_ppn) else {
+            unreachable!("Scenario::check admits faults on the IOR family only");
         };
-        for spec in &scenario.faults {
-            spec.check()
-                .map_err(|e| format!("scenario '{}': {e}", scenario.name))?;
-        }
         let (system, _) = build_system(&scenario);
         let graph = system.plan(
             scenario.run_nodes(),
@@ -448,12 +434,10 @@ pub enum Meter {
 /// whatever `recorder` and `meter` are.
 ///
 /// # Panics
-/// Panics on an unknown system name, an invalid workload, or fault
-/// injection or open-loop arrivals on a family other than IOR (the
-/// other families' engines do not consume capacity schedules or
-/// arrival processes yet) — `validate_deck` catches all of these ahead
-/// of time with a clean diagnostic — and when a fault schedule leaves
-/// the run stalled.
+/// Panics on an unknown system name or a point that fails
+/// [`Scenario::check`] — `validate_deck` catches both ahead of time
+/// with a clean diagnostic — and when a fault schedule leaves the run
+/// stalled.
 pub fn run_scenario(
     scenario: &Scenario,
     recorder: Option<&mut Recorder>,
@@ -461,8 +445,10 @@ pub fn run_scenario(
 ) -> PointResult {
     let start = Instant::now();
     let (system, full_ppn) = build_system(scenario);
+    scenario
+        .check(full_ppn)
+        .unwrap_or_else(|e| panic!("scenario '{}': {e}", scenario.name));
     let workload = scenario.resolved_workload(full_ppn);
-    workload.validate();
     let nodes = scenario.run_nodes();
     let ppn = scenario.run_ppn(full_ppn);
     let mut rec = (recorder.is_some() || meter != Meter::Off).then(Recorder::new);
@@ -483,20 +469,6 @@ pub fn run_scenario(
             )
         }
         other => {
-            let unsupported = if !scenario.arrival.is_closed() {
-                Some("open-loop arrivals support")
-            } else if !scenario.faults.is_empty() {
-                Some("fault injection supports")
-            } else {
-                None
-            };
-            if let Some(capability) = unsupported {
-                panic!(
-                    "scenario '{}': {capability} the IOR family only (got {})",
-                    scenario.name,
-                    other.kind()
-                );
-            }
             let outcome = match rec.as_mut() {
                 Some(rec) => run_workload_on_traced(&*system, other, nodes, ppn, rec),
                 None => run_workload_on(&*system, other, nodes, ppn),
@@ -577,17 +549,15 @@ pub fn run_deck_with_provenance(deck: &Deck) -> DeckResult {
 
 /// Checks that every point of a deck can carry the latency-provenance
 /// probe, returning a one-line diagnostic on the first that cannot:
-/// the probe decomposes per-op submit→finish latency, so it requires
-/// the open-loop IOR phase runner on every expanded point.
+/// the probe decomposes per-op submit→finish latency, so every
+/// expanded point needs a family with provenance in its
+/// capability-table row and an open-loop arrival.
 pub fn validate_provenance(deck: &Deck) -> Result<(), String> {
     for scenario in deck.expand() {
-        if !matches!(scenario.workload, Workload::Ior(_)) {
-            return Err(format!(
-                "scenario '{}': latency provenance supports the IOR family only (got {})",
-                scenario.name,
-                scenario.workload.kind()
-            ));
-        }
+        scenario
+            .workload
+            .require(|c| c.provenance, "latency provenance supports")
+            .map_err(|e| format!("scenario '{}': {e}", scenario.name))?;
         if scenario.arrival.is_closed() {
             return Err(format!(
                 "scenario '{}': latency provenance needs open-loop arrivals (per-op latency \

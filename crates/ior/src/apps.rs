@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn presets_validate_and_map_to_classes() {
         for (name, cfg) in all_apps(2, 8) {
-            cfg.validate();
+            assert_eq!(cfg.check(), Ok(()), "{name}");
             let phase = cfg.phase();
             match name {
                 "CM1" | "HACC-I/O" => assert_eq!(phase.op, IoOp::Write, "{name}"),

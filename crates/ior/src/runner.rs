@@ -100,12 +100,16 @@ pub fn run_ior(system: &dyn StorageSystem, config: &IorConfig) -> IorReport {
 ///   repetitions and run-to-run noise do not apply to an open-loop
 ///   latency measurement, whose cross-run story is the histogram
 ///   itself. Faults compose with the arrivals in the same drive.
+///
+/// # Panics
+/// Panics with [`IorConfig::check`]'s diagnostic on an invalid
+/// configuration.
 pub fn run_ior_with(
     system: &dyn StorageSystem,
     config: &IorConfig,
     run: IorRun<'_>,
 ) -> Result<IorRunOutput, FaultPhaseError> {
-    config.validate();
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let phase = config.phase();
     let (nodes, ppn) = (config.nodes, config.tasks_per_node);
     let mut label = format!("{} {:?} {}x{}", system.name(), phase.op, nodes, ppn);

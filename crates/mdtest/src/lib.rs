@@ -123,8 +123,12 @@ fn run_meta_phase(system: &dyn StorageSystem, config: &MdtestConfig, op: MetaOp)
 
 /// Runs MDTest against a storage system: create, stat, unlink, with
 /// noisy repetitions, reporting aggregate ops/s.
+///
+/// # Panics
+/// Panics with [`MdtestConfig::check`]'s diagnostic on an invalid
+/// configuration.
 pub fn run_mdtest(system: &dyn StorageSystem, config: &MdtestConfig) -> MdtestReport {
-    config.validate();
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let mut rng = SimRng::new(config.seed).split(system.name());
     let mut rates = |op: MetaOp| -> Summary {
         let base = run_meta_phase(system, config, op);
