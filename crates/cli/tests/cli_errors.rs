@@ -585,6 +585,14 @@ fn bad_value_probes_exit_2_with_one_line() {
             ior_with(r#""nodes": 1,"#, r#""nodes": -1,"#),
             "expected integer u32",
         ),
+        (
+            "ior-ranks-overflow",
+            ior_with(
+                r#""nodes": 1, "tasks_per_node": 4"#,
+                r#""nodes": 2000, "tasks_per_node": 3000000"#,
+            ),
+            "2000 nodes x 3000000 processes per node exceeds 4294967295 ranks",
+        ),
         // Graph edits.
         (
             "edit-scale0",
@@ -695,10 +703,14 @@ fn bad_value_probes_exit_2_with_one_line() {
         std::fs::remove_file(&path).ok();
         assert_dies_with(&out, needle);
     }
-    let commands: [(&[&str], &str); 4] = [
+    let commands: [(&[&str], &str); 5] = [
         (
             &["ior", "vast-lassen", "scientific", "0"],
             "ior: need at least one node",
+        ),
+        (
+            &["ior", "vast-lassen", "scientific", "2000", "3000000"],
+            "ior: 2000 nodes x 3000000 processes per node exceeds 4294967295 ranks",
         ),
         (
             &["dlio", "vast-lassen", "resnet50", "0"],

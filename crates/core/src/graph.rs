@@ -33,6 +33,8 @@
 //! edits that work against any backend.
 
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -97,14 +99,59 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// shared stages compile to the stage name itself, sharded and
 /// per-node stages to the name plus a decimal member index. This is
 /// the fault-spec name-filter contract; the class splitter applies the
-/// same predicate to *would-be* member names so a split class is
-/// all-in or all-out for every filter.
+/// same predicate to *would-be* member names (through
+/// [`filter_ranges`]) so a split class is all-in or all-out for every
+/// filter.
 pub(crate) fn resource_of_stage(stage_name: &str, resource_name: &str) -> bool {
     match resource_name.strip_prefix(stage_name) {
         Some("") => true,
         Some(rest) => rest.chars().all(|c| c.is_ascii_digit()),
         None => false,
     }
+}
+
+/// The nodes in `0..nodes` whose per-node resource of stage `stage`
+/// (`"{stage}{node}"`) the name `filter` selects under
+/// [`resource_of_stage`], as ascending disjoint non-empty ranges.
+///
+/// A filter that ends inside the stage name selects every node when
+/// the rest of the name is digits, else none. A longer filter selects
+/// the nodes whose decimal index starts with its digit tail `d`: `0`
+/// alone for `"0"`, nothing for any other leading zero, and otherwise
+/// `d`, `d0..=d9`, `d00..=d99`, … — O(log nodes) ranges.
+pub(crate) fn filter_ranges(filter: &str, stage: &str, nodes: u32) -> Vec<Range<u32>> {
+    let (filter, stage) = (filter.as_bytes(), stage.as_bytes());
+    let digits = |s: &[u8]| s.iter().all(u8::is_ascii_digit);
+    let nodes = u64::from(nodes);
+    // The first range is `lo..lo + width`; each next one is ten times
+    // both, except after a range starting at 0 (every node, or node 0).
+    let (mut lo, mut width) = if filter.len() <= stage.len() {
+        match stage.strip_prefix(filter) {
+            Some(rest) if digits(rest) => (0, nodes),
+            _ => return vec![],
+        }
+    } else {
+        match filter.strip_prefix(stage) {
+            Some(b"0") => (0, 1),
+            Some(tail) if digits(tail) && tail[0] != b'0' => {
+                let value = tail.iter().fold(0u64, |v, &d| {
+                    v.saturating_mul(10).saturating_add(u64::from(d - b'0'))
+                });
+                (value, 1)
+            }
+            _ => return vec![],
+        }
+    };
+    let mut ranges = Vec::new();
+    while lo < nodes {
+        ranges.push(lo as u32..(lo + width).min(nodes) as u32);
+        if lo == 0 {
+            break;
+        }
+        lo *= 10;
+        width *= 10;
+    }
+    ranges
 }
 
 /// The category of a deployment stage — the shared vocabulary used by
@@ -380,12 +427,14 @@ impl DeploymentGraph {
     ///
     /// Class splitting: a fault spec with a `name` filter selects
     /// per-node resources by name (`"{stage}{node}"`). Any such filter
-    /// whose stage kind matches a per-node stage becomes a splitter
-    /// predicate, so a class is never a strict superset of a filter's
-    /// matches — fault resolution stays all-or-nothing per aggregate.
-    /// A split-off singleton keeps the *exact* expanded resource name
-    /// (so per-resource jitter RNG streams are reproduced); multi-member
-    /// aggregates are named `"{stage}[{len}x{first}]"`.
+    /// whose stage kind matches a per-node stage becomes a splitter,
+    /// so a class is never a strict superset of a filter's matches —
+    /// fault resolution stays all-or-nothing per aggregate. A splitter
+    /// selects O(log nodes) decimal-prefix ranges ([`filter_ranges`]),
+    /// so the plan is built from ranges and strides, never node by
+    /// node. A split-off singleton keeps the *exact* expanded resource
+    /// name (so per-resource jitter RNG streams are reproduced);
+    /// multi-member aggregates are named `"{stage}[{len}x{first}]"`.
     pub fn provision_classed(
         &self,
         net: &mut FlowNet,
@@ -404,50 +453,70 @@ impl DeploymentGraph {
         // when (a) they land on the same shard of every sharded stage —
         // guaranteed by sharing a residue modulo the lcm of all shard
         // counts — and (b) every fault-name splitter predicate answers
-        // the same for both.
+        // the same for both. An lcm past the node count gives every
+        // node its own residue, so it is capped there.
+        let cap = u64::from(nodes.max(1));
         let mut lcm: u64 = 1;
         for stage in &self.stages {
             if let StageScope::Sharded { count } = stage.scope {
-                let c = count.max(1) as u64;
-                lcm = lcm / gcd(lcm, c) * c;
+                let c = u64::from(count.max(1));
+                lcm = (lcm / gcd(lcm, c) * c).min(cap);
             }
         }
-        let lcm = (lcm.min(nodes.max(1) as u64)) as u32;
+        let lcm = lcm as u32;
 
-        // Splitters: (per-node stage index, fault name filter) pairs
-        // whose filter can select per-node resources of that stage.
-        let splitters: Vec<(usize, &str)> = opts
+        // Splitters: the nodes each fault name filter selects on each
+        // per-node stage of its kind, as ranges. Every range end cuts
+        // 0..nodes, and between two cuts every splitter answers the
+        // same for every node: a segment has one signature.
+        let splitters: Vec<Vec<Range<u32>>> = opts
             .faults
             .iter()
             .filter_map(|f| f.name.as_deref().map(|n| (f.stage, n)))
             .flat_map(|(kind, name)| {
                 self.stages
                     .iter()
-                    .enumerate()
-                    .filter(move |(_, s)| s.scope == StageScope::PerNode && s.kind == kind)
-                    .map(move |(si, _)| (si, name))
+                    .filter(move |s| s.scope == StageScope::PerNode && s.kind == kind)
+                    .map(move |s| filter_ranges(name, &s.name, nodes))
             })
             .collect();
+        let mut cuts: Vec<u32> = splitters
+            .iter()
+            .flatten()
+            .flat_map(|r| [r.start, r.end])
+            .chain([0, nodes])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
 
-        // Partition nodes by signature, first-occurrence order.
-        let mut classes: Vec<(Vec<bool>, u32, Vec<u32>)> = Vec::new();
-        for node in 0..nodes {
-            let residue = node % lcm;
+        // Classes in first-occurrence order: walking the segments in
+        // node order, a segment's first `lcm` nodes meet every
+        // (signature, residue) class it holds, in order, and each class
+        // takes the segment's nodes of its residue by striding.
+        let mut signatures: Vec<Vec<bool>> = Vec::new();
+        let mut class_of: HashMap<(usize, u32), usize> = HashMap::new();
+        let mut classes: Vec<Vec<u32>> = Vec::new();
+        for seg in cuts.windows(2) {
+            let (start, end) = (seg[0], seg[1]);
             let sig: Vec<bool> = splitters
                 .iter()
-                .map(|&(si, name)| {
-                    resource_of_stage(name, &format!("{}{node}", self.stages[si].name))
-                })
+                .map(|ranges| ranges.iter().any(|r| r.contains(&start)))
                 .collect();
-            match classes
-                .iter_mut()
-                .find(|(s, r, _)| *s == sig && *r == residue)
-            {
-                Some((_, _, members)) => members.push(node),
-                None => classes.push((sig, residue, vec![node])),
+            let sig = match signatures.iter().position(|s| *s == sig) {
+                Some(i) => i,
+                None => {
+                    signatures.push(sig);
+                    signatures.len() - 1
+                }
+            };
+            for first in start..end.min(start.saturating_add(lcm)) {
+                let class = *class_of.entry((sig, first % lcm)).or_insert_with(|| {
+                    classes.push(Vec::new());
+                    classes.len() - 1
+                });
+                classes[class].extend((first..end).step_by(lcm as usize));
             }
         }
-        let classes: Vec<Vec<u32>> = classes.into_iter().map(|(_, _, m)| m).collect();
         let mut prov = self.compile(net, &classes, phase, true);
         let paths = std::mem::take(&mut prov.node_paths);
         prov.classes = classes
@@ -669,6 +738,7 @@ impl<S: StorageSystem> StorageSystem for Reconfigured<S> {
 mod tests {
     use super::*;
     use hcs_simkit::units::MIB;
+    use hcs_simkit::SimRng;
 
     fn toy_graph() -> DeploymentGraph {
         DeploymentGraph::new(1e9, 0.0, 0.0)
@@ -799,5 +869,206 @@ mod tests {
         let back: DeploymentGraph =
             serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
         assert_eq!(back, g);
+    }
+
+    /// The class partition computed node by node, one name and one
+    /// signature per node with a search of the class list — the
+    /// planner's original loop, kept verbatim as the reference the
+    /// range partition must reproduce.
+    fn per_node_partition(
+        graph: &DeploymentGraph,
+        nodes: u32,
+        opts: &PlanOptions<'_>,
+    ) -> Vec<Vec<u32>> {
+        let mut lcm: u64 = 1;
+        for stage in &graph.stages {
+            if let StageScope::Sharded { count } = stage.scope {
+                let c = count.max(1) as u64;
+                lcm = lcm / gcd(lcm, c) * c;
+            }
+        }
+        let lcm = (lcm.min(nodes.max(1) as u64)) as u32;
+
+        // Splitters: (per-node stage index, fault name filter) pairs
+        // whose filter can select per-node resources of that stage.
+        let splitters: Vec<(usize, &str)> = opts
+            .faults
+            .iter()
+            .filter_map(|f| f.name.as_deref().map(|n| (f.stage, n)))
+            .flat_map(|(kind, name)| {
+                graph
+                    .stages
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, s)| s.scope == StageScope::PerNode && s.kind == kind)
+                    .map(move |(si, _)| (si, name))
+            })
+            .collect();
+
+        // Partition nodes by signature, first-occurrence order.
+        let mut classes: Vec<(Vec<bool>, u32, Vec<u32>)> = Vec::new();
+        for node in 0..nodes {
+            let residue = node % lcm;
+            let sig: Vec<bool> = splitters
+                .iter()
+                .map(|&(si, name)| {
+                    resource_of_stage(name, &format!("{}{node}", graph.stages[si].name))
+                })
+                .collect();
+            match classes
+                .iter_mut()
+                .find(|(s, r, _)| *s == sig && *r == residue)
+            {
+                Some((_, _, members)) => members.push(node),
+                None => classes.push((sig, residue, vec![node])),
+            }
+        }
+        classes.into_iter().map(|(_, _, m)| m).collect()
+    }
+
+    /// A name filter of one of the edge-case shapes on `stage`.
+    fn edge_case_filter(rng: &mut SimRng, stage: &str, nodes: u32) -> String {
+        match rng.below(8) {
+            0 => stage.to_string(),
+            1 => format!("{stage}0"),
+            2 => format!("{stage}05"),
+            3 => format!("{stage}12"),
+            4 => format!("{stage}1x"),
+            5 => format!("{stage}x"),
+            6 => stage[..rng.below(stage.len() as u64) as usize].to_string(),
+            _ => format!("{stage}{}", rng.below(u64::from(nodes) + 10)),
+        }
+    }
+
+    #[test]
+    fn range_partition_matches_the_per_node_reference() {
+        let mut rng = SimRng::new(19);
+        let (mut split_cases, mut wide_lcm_cases) = (0, 0);
+        for case in 0..500 {
+            // Per-node stages whose names end in a letter and in
+            // digits, a sharded stage setting the lcm (1-12), and half
+            // the time a second one whose count divides it.
+            let lcm = 1 + rng.below(12) as u32;
+            let mount = ["t:mount", "t:mnt1"][rng.below(2) as usize];
+            let mut g = DeploymentGraph::new(1e9, 0.0, 0.0)
+                .stage(Stage::per_node(mount, StageKind::ClientMount, 1e9))
+                .stage(Stage::sharded("t:gw", StageKind::Gateway, lcm, 1e10))
+                .stage(Stage::shared("t:pool", StageKind::ServerPool, 1e10));
+            if rng.below(2) == 0 {
+                let divisors: Vec<u32> = (1..=lcm).filter(|d| lcm % d == 0).collect();
+                let count = divisors[rng.below(divisors.len() as u64) as usize];
+                g = g.stage(Stage::sharded("t:fab", StageKind::Fabric, count, 1e10));
+            }
+            if rng.below(2) == 0 {
+                g = g.stage(Stage::per_node("t:nvme12", StageKind::Media, 1e9));
+            }
+            let nodes = match rng.below(3) {
+                0 => 1 + rng.below(u64::from(lcm)) as u32,
+                1 => 1 + rng.below(200) as u32,
+                _ => 1 + rng.below(3_000) as u32,
+            };
+            let faults: Vec<FaultSpec> = (0..rng.below(4))
+                .map(|_| {
+                    let (kind, stage) = match rng.below(4) {
+                        0 | 1 => (StageKind::ClientMount, mount),
+                        2 => (StageKind::Media, "t:nvme12"),
+                        _ => (StageKind::ClientMount, "t:nvme1"),
+                    };
+                    let name = edge_case_filter(&mut rng, stage, nodes);
+                    FaultSpec::outage(kind, 0.1, 0.2).named(name)
+                })
+                .collect();
+            let opts = PlanOptions::auto(&faults);
+            let want = per_node_partition(&g, nodes, &opts);
+            let mut net = FlowNet::new();
+            let prov = with_forced_aggregation(true, || {
+                g.provision_classed(&mut net, nodes, &phase(), &opts)
+            });
+            let got: Vec<Vec<u32>> = prov.classes.iter().map(|c| c.members.clone()).collect();
+            let filters: Vec<_> = faults.iter().map(|f| f.name.as_deref()).collect();
+            assert_eq!(
+                got, want,
+                "case {case}: {nodes} nodes, lcm {lcm}, {filters:?}"
+            );
+            let mut want_net = FlowNet::new();
+            let want_prov = g.compile(&mut want_net, &want, &phase(), true);
+            let names = |net: &FlowNet, prov: &Provisioned| -> Vec<String> {
+                let ids = prov.aggregates.iter().map(|a| a.id);
+                ids.map(|id| net.resource_name(id).to_string()).collect()
+            };
+            assert_eq!(
+                names(&net, &prov),
+                names(&want_net, &want_prov),
+                "case {case}"
+            );
+            split_cases += usize::from(want.len() > lcm.min(nodes) as usize);
+            wide_lcm_cases += usize::from(lcm > nodes);
+        }
+        assert!(split_cases >= 60, "only {split_cases} cases split a class");
+        assert!(
+            wide_lcm_cases >= 100,
+            "only {wide_lcm_cases} cases had lcm > nodes"
+        );
+    }
+
+    #[test]
+    fn filter_ranges_follow_the_decimal_prefix_rule() {
+        /// Stage, filter, node count, selected ranges as (start, end).
+        type Row = (&'static str, &'static str, u32, &'static [(u32, u32)]);
+        let table: [Row; 20] = [
+            ("vast:mount", "vast:mount", 100, &[(0, 100)]),
+            ("vast:mount", "vast:mo", 100, &[]),
+            ("vast:mount", "", 100, &[]),
+            ("vast:mount", "vast:mountx", 100, &[]),
+            ("vast:mount", "vast:mount1x", 100, &[]),
+            ("vast:mount", "other", 100, &[]),
+            ("vast:mount", "vast:mount0", 100, &[(0, 1)]),
+            ("vast:mount", "vast:mount05", 100, &[]),
+            ("vast:mount", "vast:mount12", 12, &[]),
+            ("vast:mount", "vast:mount12", 13, &[(12, 13)]),
+            ("vast:mount", "vast:mount12", 125, &[(12, 13), (120, 125)]),
+            (
+                "vast:mount",
+                "vast:mount12",
+                100_000,
+                &[(12, 13), (120, 130), (1200, 1300), (12000, 13000)],
+            ),
+            ("vast:mount", "vast:mount99999999999999999999", 100, &[]),
+            ("gw1", "gw", 30, &[(0, 30)]),
+            ("gw1", "gw1", 30, &[(0, 30)]),
+            ("gw1", "gw10", 30, &[(0, 1)]),
+            ("gw1", "gw12", 300, &[(2, 3), (20, 30), (200, 300)]),
+            ("12", "", 30, &[(0, 30)]),
+            ("m", "m4294967294", u32::MAX, &[(4294967294, u32::MAX)]),
+            (
+                "m",
+                "m4",
+                u32::MAX,
+                &[
+                    (4, 5),
+                    (40, 50),
+                    (400, 500),
+                    (4_000, 5_000),
+                    (40_000, 50_000),
+                    (400_000, 500_000),
+                    (4_000_000, 5_000_000),
+                    (40_000_000, 50_000_000),
+                    (400_000_000, 500_000_000),
+                    (4_000_000_000, u32::MAX),
+                ],
+            ),
+        ];
+        for (stage, filter, nodes, want) in table {
+            let got = filter_ranges(filter, stage, nodes);
+            let ends: Vec<(u32, u32)> = got.iter().map(|r| (r.start, r.end)).collect();
+            assert_eq!(ends, want, "{filter:?} on {stage:?} x {nodes}");
+            if nodes <= 100_000 {
+                let brute: Vec<u32> = (0..nodes)
+                    .filter(|n| resource_of_stage(filter, &format!("{stage}{n}")))
+                    .collect();
+                let ranged: Vec<u32> = got.into_iter().flatten().collect();
+                assert_eq!(ranged, brute, "{filter:?} on {stage:?} x {nodes}");
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ use hcs_simkit::{
     ProvenanceHandle, ResourceId, SimRng,
 };
 
-use crate::graph::{resource_of_stage, PlanOptions, StageKind};
+use crate::graph::{filter_ranges, resource_of_stage, PlanOptions, StageKind};
 use crate::metrics::{LatencyHistogram, ProvenanceMetrics, ResilienceMetrics};
 use crate::outcome::{Bottleneck, PhaseOutcome, RepeatedOutcome};
 use crate::phase::PhaseSpec;
@@ -82,10 +82,11 @@ impl std::error::Error for FaultPhaseError {}
 /// of the spec's own seed, independent of the workload noise stream.
 ///
 /// An aggregate resource matches by its *members*: the spec's name
-/// filter is evaluated against the expanded member names
-/// (`"{stage}{node}"`), and because the planner split classes on every
-/// fault-name filter, a filter covers either every member or none — a
-/// partial hit is a planner bug and panics. A matched aggregate
+/// filter selects the members whose expanded names (`"{stage}{node}"`)
+/// it would match — counted inside the filter's decimal-prefix node
+/// ranges, not name by name — and because the planner split classes on
+/// every fault-name filter, a filter covers either every member or
+/// none — a partial hit is a planner bug and panics. A matched aggregate
 /// produces one capacity event per window edge (the engine counts each
 /// of its `instances` members in `events_applied`, so fault accounting
 /// survives aggregation unchanged).
@@ -108,11 +109,11 @@ pub fn resolve_faults_planned(
                         (None, _) => true,
                         (Some(n), None) => resource_of_stage(n, net.resource_name(*id)),
                         (Some(n), Some(agg)) => {
-                            let hit = agg
-                                .members
+                            let below = |x: u32| agg.members.partition_point(|&m| m < x);
+                            let hit: usize = filter_ranges(n, &agg.stage_name, u32::MAX)
                                 .iter()
-                                .filter(|m| resource_of_stage(n, &format!("{}{m}", agg.stage_name)))
-                                .count();
+                                .map(|r| below(r.end) - below(r.start))
+                                .sum();
                             assert!(
                                 hit == 0 || hit == agg.members.len(),
                                 "fault name filter '{n}' hits {hit}/{} members of \
@@ -206,8 +207,11 @@ pub(crate) struct Observe<'a> {
 ///
 /// # Panics
 /// Panics with [`PhaseSpec::check`]'s diagnostic on an invalid phase,
-/// if the system provisions a path for the wrong number of nodes, or if
-/// flows stall on a zero-capacity resource.
+/// if the system provisions a path for the wrong number of nodes, if a
+/// node class's rank count (members × `ppn`, a flow's multiplicity,
+/// taken with `checked_mul`) overflows `u32` — [`crate::Scenario::check`]
+/// rejects every point past `u32::MAX` ranks — or if flows stall on a
+/// zero-capacity resource.
 pub fn run_phase(
     system: &dyn StorageSystem,
     nodes: u32,
@@ -247,6 +251,10 @@ pub fn run_phase_traced(
 /// [`run_phase`]'s result bit for bit, because both go through the
 /// same drive loop; provisioning is identical to [`run_phase`]'s for
 /// the same specs, so faulted and fault-free twins share one plan.
+///
+/// # Panics
+/// As [`run_phase`] on an invalid phase, a wrong node count or a
+/// rank-count overflow; a stall is [`FaultPhaseError::Stalled`].
 pub fn run_phase_chaos(
     system: &dyn StorageSystem,
     nodes: u32,
@@ -314,7 +322,8 @@ fn execute(
     let blame_probe = observe
         .provenance
         .then(|| ProvenanceHandle::attach(&mut net));
-    let prov = system.provision_classed(&mut net, nodes, ppn, phase, &PlanOptions::auto(faults));
+    let mut prov =
+        system.provision_classed(&mut net, nodes, ppn, phase, &PlanOptions::auto(faults));
     assert_eq!(
         prov.client_nodes(),
         nodes as usize,
@@ -374,9 +383,10 @@ fn execute(
     let closed_loop = match *arrival {
         Arrival::Closed => {
             for (unit, &(_, members)) in units.iter().enumerate() {
-                net.add_flow(
-                    unit_flow(unit, phase.bytes_per_rank).with_multiplicity(members * ppn),
-                );
+                let ranks = members
+                    .checked_mul(ppn)
+                    .unwrap_or_else(|| panic!("{members} nodes x {ppn} ranks overflow u32"));
+                net.add_flow(unit_flow(unit, phase.bytes_per_rank).with_multiplicity(ranks));
             }
             Some(steady_state_bottleneck(&mut net, &prov))
         }
@@ -422,6 +432,9 @@ fn execute(
     };
 
     let timeline = resolve_faults_planned(faults, &net, &prov)?;
+    // The aggregates' member lists served fault resolution only; free
+    // them before the per-node fan-out allocates its vector.
+    drop(std::mem::take(&mut prov.aggregates));
     let entry_capacities = net.capacity_snapshot();
     let mut unit_end = vec![0.0_f64; units.len()];
     let mut histogram = LatencyHistogram::new();
@@ -459,19 +472,20 @@ fn execute(
             } else {
                 prov.metadata_latency / (nodes as f64 * ppn as f64)
             };
+            let duration = unit_end.iter().fold(0.0_f64, |a, &b| a.max(b)) + meta_cost;
             // A class's completion is every member's completion.
-            let per_node_end = if prov.classes.is_empty() {
+            let per_node_duration = if prov.classes.is_empty() {
+                unit_end.iter_mut().for_each(|t| *t += meta_cost);
                 unit_end
             } else {
                 let mut per_node = vec![0.0_f64; nodes as usize];
                 for (class, &end) in prov.classes.iter().zip(&unit_end) {
                     for &m in &class.members {
-                        per_node[m as usize] = end;
+                        per_node[m as usize] = end + meta_cost;
                     }
                 }
                 per_node
             };
-            let duration = per_node_end.iter().fold(0.0_f64, |a, &b| a.max(b)) + meta_cost;
             let total_bytes = phase.total_bytes(nodes, ppn);
             let outcome = PhaseOutcome {
                 nodes,
@@ -479,7 +493,7 @@ fn execute(
                 total_bytes,
                 duration,
                 agg_bandwidth: total_bytes / duration,
-                per_node_duration: per_node_end.iter().map(|t| t + meta_cost).collect(),
+                per_node_duration,
                 utilization,
                 bottleneck,
             };
@@ -850,6 +864,15 @@ mod tests {
     fn zero_nodes_rejected() {
         let sys = UniformSystem::new("toy", GIB);
         run_phase(&sys, 0, 1, &PhaseSpec::seq_read(MIB, GIB));
+    }
+
+    #[test]
+    #[should_panic(expected = "2 nodes x 4294967295 ranks overflow u32")]
+    fn rank_count_overflow_panics() {
+        let sys = UniformSystem::new("toy", GIB);
+        crate::graph::with_forced_aggregation(true, || {
+            run_phase(&sys, 2, u32::MAX, &PhaseSpec::seq_read(MIB, GIB))
+        });
     }
 
     #[test]

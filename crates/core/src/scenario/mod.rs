@@ -28,7 +28,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{JobScript, JobStep};
-use crate::graph::{DeploymentGraph, StageKind};
+use crate::graph::{
+    filter_ranges, resource_of_stage, DeploymentGraph, Stage, StageKind, StageScope,
+};
 use hcs_netsim::TransportSpec;
 
 pub mod dlio;
@@ -442,9 +444,11 @@ pub enum FaultKind {
 pub struct FaultSpec {
     /// The stage kind to fault (every matching stage is hit).
     pub stage: StageKind,
-    /// Optional stage-name filter (exact match on the planned stage
-    /// name, e.g. `"gw-eth"`) for graphs with several stages of one
-    /// kind.
+    /// Optional name filter: a planned stage name (e.g. `"gw-eth"`)
+    /// for graphs with several stages of one kind, or a sharded or
+    /// per-node stage's name plus a decimal index, which selects every
+    /// member whose index starts with those digits (`"vast:mount12"`:
+    /// nodes 12, 120–129, 1200–1299, …).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub name: Option<String>,
     /// Window start, simulated seconds from phase start.
@@ -543,14 +547,20 @@ impl FaultSpec {
         }
     }
 
-    /// Whether a planned stage with this kind and name is targeted.
-    pub fn matches(&self, kind: StageKind, stage_name: &str) -> bool {
-        self.stage == kind
-            && self
-                .name
-                .as_deref()
-                .map(|n| n == stage_name)
-                .unwrap_or(true)
+    /// Whether the runner's resolution of this spec faults a resource
+    /// that `stage` compiles to in a plan for `nodes` client nodes: the
+    /// stage's kind, and a name filter that selects the stage's own
+    /// name or a member's (`"{name}{shard}"`, `"{name}{node}"`).
+    pub fn targets(&self, stage: &Stage, nodes: u32) -> bool {
+        self.stage == stage.kind
+            && self.name.as_deref().is_none_or(|filter| {
+                let members = match stage.scope {
+                    StageScope::Shared => return resource_of_stage(filter, &stage.name),
+                    StageScope::Sharded { count } => count,
+                    StageScope::PerNode => nodes,
+                };
+                !filter_ranges(filter, &stage.name, members).is_empty()
+            })
     }
 }
 
@@ -826,7 +836,8 @@ impl Scenario {
 
     /// Checks everything about this point that needs neither the system
     /// registry nor a deployment plan, returning a one-line diagnostic
-    /// on the first problem: the run shape, the workload with every
+    /// on the first problem: the run shape (at least one node and one
+    /// process, at most `u32::MAX` ranks), the workload with every
     /// override folded in, the graph edits, the arrival spec, the fault
     /// windows, and the capability-table row for any faults or
     /// open-loop arrivals. `full_ppn` is the machine's full-node
@@ -838,6 +849,12 @@ impl Scenario {
         if nodes == 0 || ppn == 0 {
             return Err(format!(
                 "need at least one node and one process per node (got {nodes} x {ppn})"
+            ));
+        }
+        if nodes.checked_mul(ppn).is_none() {
+            return Err(format!(
+                "{nodes} nodes x {ppn} processes per node exceeds {} ranks",
+                u32::MAX
             ));
         }
         self.resolved_workload(full_ppn).check()?;
@@ -1714,11 +1731,21 @@ mod tests {
 
     #[test]
     fn fault_spec_matching_honors_kind_and_name() {
+        let gw = Stage::sharded("vast:gw", StageKind::Gateway, 2, 1e9);
+        let media = Stage::shared("vast:gw", StageKind::Media, 1e9);
         let any_gw = FaultSpec::outage(StageKind::Gateway, 1.0, 2.0);
-        assert!(any_gw.matches(StageKind::Gateway, "vast:gw"));
-        assert!(!any_gw.matches(StageKind::Media, "vast:gw"));
-        let named = any_gw.clone().named("vast:gw");
-        assert!(named.matches(StageKind::Gateway, "vast:gw"));
-        assert!(!named.matches(StageKind::Gateway, "other:gw"));
+        assert!(any_gw.targets(&gw, 4));
+        assert!(!any_gw.targets(&media, 4));
+        let named = |name: &str| any_gw.clone().named(name);
+        assert!(named("vast:gw").targets(&gw, 4));
+        assert!(!named("other:gw").targets(&gw, 4));
+        // Member names: shards 0..2 of the gateway, nodes 0..4 of a mount.
+        assert!(named("vast:gw1").targets(&gw, 4));
+        assert!(!named("vast:gw2").targets(&gw, 4));
+        let mount = Stage::per_node("vast:mount", StageKind::ClientMount, 1e9);
+        let degrade = |name: &str| FaultSpec::outage(StageKind::ClientMount, 1.0, 2.0).named(name);
+        assert!(degrade("vast:mount3").targets(&mount, 4));
+        assert!(!degrade("vast:mount4").targets(&mount, 4));
+        assert!(degrade("vast:mount12").targets(&mount, 13));
     }
 }

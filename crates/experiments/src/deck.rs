@@ -307,12 +307,13 @@ fn open_loop_latency(workload: &Workload, open: &OpenLoopOutcome) -> Vec<OpLaten
 /// calls this up front so bad decks exit with a message instead of a
 /// panic backtrace.
 ///
-/// Fault/plan mismatches are judged at *deck* level: the planned stages
-/// of every expanded point are unioned first, so a cross-protocol deck
-/// whose fault filter names a stage kind no swept system plans (say a
-/// `ClientMount` outage swept over DAOS's mountless library stack) is
-/// called out as impossible for the whole deck, not blamed on whichever
-/// point happened to expand first.
+/// Fault/plan mismatches are judged at *deck* level: every expanded
+/// point is planned first, so a cross-protocol deck whose fault targets
+/// a stage at no point (say a `ClientMount` outage swept over DAOS's
+/// mountless library stack) is called out as impossible for the whole
+/// deck, not blamed on whichever point happened to expand first. A
+/// fault targets a stage under the runner's name-filter rule
+/// ([`FaultSpec::targets`]).
 pub fn validate_deck(deck: &Deck) -> Result<(), String> {
     if !deck.axes.offered_load.is_empty() && deck.base.arrival.is_closed() {
         return Err(format!(
@@ -321,10 +322,11 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
             deck.name
         ));
     }
-    // Planned (kind, name) pairs across every expanded point, plus the
-    // first per-point fault/plan mismatch, deferred until the union is
-    // known.
+    // Planned (kind, name) pairs across every expanded point, the
+    // faults that target a stage at some point, and the per-point
+    // fault/plan mismatches, judged once every point is planned.
     let mut planned_union: Vec<(StageKind, String)> = Vec::new();
+    let mut targeted: Vec<FaultSpec> = Vec::new();
     let mut unmatched: Vec<(String, FaultSpec)> = Vec::new();
     for scenario in deck.expand() {
         let entry = registry::resolve(&scenario.system).ok_or_else(|| {
@@ -361,11 +363,15 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
             }
         }
         for spec in &scenario.faults {
-            if !graph
+            if graph
                 .stages
                 .iter()
-                .any(|st| spec.matches(st.kind, &st.name))
+                .any(|st| spec.targets(st, scenario.run_nodes()))
             {
+                if !targeted.contains(spec) {
+                    targeted.push(spec.clone());
+                }
+            } else {
                 unmatched.push((
                     format!(
                         "scenario '{}': fault targets no planned stage (kind {}{}); planned stages: {}",
@@ -388,7 +394,7 @@ pub fn validate_deck(deck: &Deck) -> Result<(), String> {
         }
     }
     if let Some((per_point_msg, spec)) = unmatched.first() {
-        if !planned_union.iter().any(|(k, n)| spec.matches(*k, n)) {
+        if !targeted.contains(spec) {
             return Err(format!(
                 "deck '{}': fault targets no planned stage in any swept system (kind {}{}); \
                  planned stage kinds across the deck: {}",
