@@ -154,6 +154,62 @@ proptest! {
     }
 }
 
+/// Printing streams each result straight into the JSON writer; the tree
+/// that `to_value` builds must print to the same bytes, compact and
+/// pretty, and so must the tree parsed back from either output.
+#[test]
+fn direct_and_tree_serialization_agree_on_metered_results() {
+    use serde::Serialize;
+    use serde_json::{from_str, to_string, to_string_pretty, Value};
+    let mut decks: Vec<Deck> = hcs_experiments::figures::all_decks(Scale::Smoke)
+        .into_iter()
+        .filter(|d| ["fig2a", "fig4a", "ablation.mdtest"].contains(&d.name.as_str()))
+        .collect();
+    for file in ["crossproto.json", "fault.gateway-outage.json"] {
+        let path = format!(
+            "{}/../../examples/scenarios/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let json = std::fs::read_to_string(&path).expect("shipped deck exists");
+        decks.push(serde_json::from_str(&json).expect("shipped deck parses"));
+    }
+    assert_eq!(decks.len(), 5);
+    for deck in decks.into_iter().map(Deck::smoked) {
+        let r = hcs_experiments::run_deck_with_metrics(&deck);
+        let tree = r.to_value();
+        let json = to_string(&r).expect("serialize");
+        let pretty = to_string_pretty(&r).expect("serialize");
+        assert_eq!(json, to_string(&tree).expect("serialize"), "{}", deck.name);
+        assert_eq!(
+            pretty,
+            to_string_pretty(&tree).expect("serialize"),
+            "{}",
+            deck.name
+        );
+        let parsed: Value = from_str(&json).expect("parse");
+        assert_eq!(
+            to_string(&parsed).expect("serialize"),
+            json,
+            "{}",
+            deck.name
+        );
+        let parsed: Value = from_str(&pretty).expect("parse");
+        assert_eq!(
+            to_string_pretty(&parsed).expect("serialize"),
+            pretty,
+            "{}",
+            deck.name
+        );
+        assert!(json.contains(r#""metrics":{"#), "{} is metered", deck.name);
+        if deck.name == "fig4a" {
+            assert!(
+                json.contains(r#""events":[{"#),
+                "fig4a carries tracer events"
+            );
+        }
+    }
+}
+
 #[test]
 fn chrome_trace_round_trips_through_disk_format() {
     let result = run_dlio(&vast_on_lassen(), &resnet50().smoke(), 1);
