@@ -586,6 +586,11 @@ fn bad_value_probes_exit_2_with_one_line() {
             "expected integer u32",
         ),
         (
+            "ior-nodes-leading-zero",
+            ior_with(r#""nodes": 1,"#, r#""nodes": 01,"#),
+            "invalid number `01`",
+        ),
+        (
             "ior-ranks-overflow",
             ior_with(
                 r#""nodes": 1, "tasks_per_node": 4"#,

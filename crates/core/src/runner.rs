@@ -11,8 +11,7 @@
 use std::fmt;
 
 use hcs_simkit::{
-    CapacityEvent, Completion, FaultRunReport, FaultTimeline, FlowLogHandle, FlowNet, FlowSpec,
-    ProvenanceHandle, ResourceId, SimRng,
+    CapacityEvent, Completion, FaultRunReport, FaultTimeline, FlowNet, FlowSpec, ResourceId, SimRng,
 };
 
 use crate::graph::{filter_ranges, resource_of_stage, PlanOptions, StageKind};
@@ -311,17 +310,15 @@ fn execute(
     assert!(ppn >= 1, "need at least one rank per node");
 
     let mut net = FlowNet::new();
-    // Attached before provisioning so the flow log sees every resource
-    // registration; the provenance probe stacks beside it. Both are
-    // pure listeners, so the provisioned network and everything
-    // downstream are bit-identical either way.
-    let probe = observe
-        .trace
-        .is_some()
-        .then(|| FlowLogHandle::attach(&mut net));
-    let blame_probe = observe
-        .provenance
-        .then(|| ProvenanceHandle::attach(&mut net));
+    // Started before provisioning so the observers see every resource
+    // registration. Both are pure listeners, so the provisioned network
+    // and everything downstream are bit-identical either way.
+    if observe.trace.is_some() {
+        net.record_flows();
+    }
+    if observe.provenance {
+        net.record_provenance();
+    }
     let mut prov =
         system.provision_classed(&mut net, nodes, ppn, phase, &PlanOptions::auto(faults));
     assert_eq!(
@@ -462,7 +459,7 @@ fn execute(
         resolved_events: timeline.len(),
     };
 
-    let blame_log = blame_probe.map(|p| p.snapshot());
+    let blame_log = net.take_provenance();
     let (measured, traced_seconds) = match closed_loop {
         Some((utilization, bottleneck)) => {
             // Metadata cost: charged once per file per rank (N-N: one
@@ -518,13 +515,13 @@ fn execute(
             (Measured::Open(outcome), report.end)
         }
     };
-    if let (Some((recorder, label)), Some(probe)) = (observe.trace, probe) {
+    if let (Some((recorder, label)), Some(flow_log)) = (observe.trace, net.take_flow_log()) {
         // Blame annotation spans share the phase's clock frame:
         // merge_events does not advance the clock, absorb_phase does.
         if let Some(log) = &blame_log {
             recorder.merge_events(&crate::telemetry::blame_spans(label, log));
         }
-        recorder.absorb_phase(label, &probe.snapshot(), &prov.stage_kinds, traced_seconds);
+        recorder.absorb_phase(label, &flow_log, &prov.stage_kinds, traced_seconds);
     }
     Ok((measured, report, evidence))
 }

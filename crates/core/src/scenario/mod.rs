@@ -1007,13 +1007,12 @@ impl Deck {
         } else {
             dedup(&self.axes.systems)
         };
-        let edit_sets: Vec<Option<(usize, &Vec<GraphEdit>)>> = if self.axes.edit_sets.is_empty() {
+        let edit_sets: Vec<Option<(usize, Vec<GraphEdit>)>> = if self.axes.edit_sets.is_empty() {
             vec![None]
         } else {
             dedup(&self.axes.edit_sets)
                 .into_iter()
                 .enumerate()
-                .map(|(i, _)| (i, &self.axes.edit_sets[i]))
                 .map(Some)
                 .collect()
         };
@@ -1066,7 +1065,7 @@ impl Deck {
                                 let mut label = vec![system.clone()];
                                 s.system = system.clone();
                                 if let Some((i, edits)) = edit_set {
-                                    s.edits.extend((*edits).clone());
+                                    s.edits.extend(edits.iter().cloned());
                                     label.push(format!("e{i}"));
                                 }
                                 if let Some((i, faults)) = fault_set {
@@ -1197,6 +1196,19 @@ mod tests {
         assert_eq!(
             points.iter().map(|p| p.nodes.unwrap()).collect::<Vec<_>>(),
             vec![1, 4, 2]
+        );
+
+        // [A, A, B]: the deduplicated sets are A then B, named e0 and e1.
+        let set = |count| vec![GraphEdit::WidenGateway { count }];
+        let mut deck = Deck::single("d", ior_scenario());
+        deck.axes.edit_sets = vec![set(2), set(2), set(4)];
+        let points = deck.expand();
+        assert_eq!(
+            points
+                .iter()
+                .map(|p| (p.name.as_str(), p.edits.clone()))
+                .collect::<Vec<_>>(),
+            vec![("vast-lassen/e0", set(2)), ("vast-lassen/e1", set(4))]
         );
     }
 

@@ -1,8 +1,9 @@
 //! Simulation-wide telemetry: one trace/metrics layer under every run.
 //!
-//! A [`Recorder`] turns the raw [`hcs_simkit::FlowLog`] a probe gathers
-//! from each phase's `FlowNet` into the suite's common observability
-//! currency: `hcs-dftrace` [`TraceEvent`]s (Chrome-trace dumpable) plus
+//! A [`Recorder`] turns the raw [`hcs_simkit::FlowLog`] each phase's
+//! `FlowNet` keeps (started by `FlowNet::record_flows`, handed back by
+//! value by `FlowNet::take_flow_log`) into the suite's common
+//! observability currency: `hcs-dftrace` [`TraceEvent`]s (Chrome-trace dumpable) plus
 //! per-resource utilization timelines and a [`MetricsSummary`]
 //! (busy fractions, time-weighted bottleneck attribution). Every
 //! layer's entry takes an optional recorder —
@@ -29,11 +30,12 @@
 //!
 //! ## Zero-perturbation guarantee
 //!
-//! The recorder only ever *listens*: the flow engine's recorder hook is
-//! write-only, and the traced runner variants consult nothing the
-//! recorder produced. `tests/telemetry_parity.rs` pins this by running
-//! every backend × workload cell with and without a recorder and
-//! asserting bit-exact [`PhaseOutcome`](crate::PhaseOutcome) equality.
+//! The recorder only ever *listens*: the network's flow log is a pure
+//! listener that the engine never reads back from, and the traced
+//! runner variants consult nothing the recorder produced.
+//! `tests/telemetry_parity.rs` pins this by running every backend ×
+//! workload cell with and without a recorder and asserting bit-exact
+//! [`PhaseOutcome`](crate::PhaseOutcome) equality.
 
 use hcs_dftrace::chrome;
 use hcs_dftrace::{EventCategory, TraceEvent, Tracer};
@@ -512,15 +514,15 @@ pub fn blame_spans(label: &str, log: &hcs_simkit::ProvenanceLog) -> Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcs_simkit::{FlowLogHandle, FlowNet, FlowSpec, ResourceSpec};
+    use hcs_simkit::{FlowNet, FlowSpec, ResourceSpec};
 
     fn one_flow_log() -> (FlowLog, f64) {
         let mut net = FlowNet::new();
-        let log = FlowLogHandle::attach(&mut net);
+        net.record_flows();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(0));
         let end = net.run_to_completion(|_, _| {});
-        (log.snapshot(), end)
+        (net.take_flow_log().expect("started"), end)
     }
 
     #[test]

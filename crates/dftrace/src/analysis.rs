@@ -143,16 +143,6 @@ pub fn decompose(tracer: &Tracer, pid: Option<u32>) -> IoDecomposition {
     }
 }
 
-/// Decomposes per pid and returns `(pid, decomposition)` pairs,
-/// ascending by pid.
-pub fn decompose_per_pid(tracer: &Tracer) -> Vec<(u32, IoDecomposition)> {
-    tracer
-        .pids()
-        .into_iter()
-        .map(|p| (p, decompose(tracer, Some(p))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,18 +197,6 @@ mod tests {
         t.complete("open", EventCategory::Open, 0, 0, 0.0, 1.0);
         let d = decompose(&t, None);
         assert_eq!(d.io_total, 1.0);
-    }
-
-    #[test]
-    fn per_pid_split() {
-        let mut t = tr();
-        t.complete("r", EventCategory::Read, 7, 0, 0.0, 4.0);
-        let per = decompose_per_pid(&t);
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].0, 0);
-        assert_eq!(per[1].0, 7);
-        assert_eq!(per[1].1.io_total, 4.0);
-        assert_eq!(per[1].1.compute_total, 0.0);
     }
 
     #[test]

@@ -25,10 +25,8 @@
 pub mod analysis;
 pub mod chrome;
 pub mod event;
-pub mod timeline;
 pub mod tracer;
 
 pub use analysis::{decompose, IoDecomposition};
 pub use event::{EventCategory, TraceEvent};
-pub use timeline::{category_summary, timeline, CategorySummary, Timeline};
 pub use tracer::Tracer;

@@ -23,7 +23,7 @@ use hcs_core::loader::{Checkpoints, Loader, LoaderRun};
 use hcs_core::telemetry::Recorder;
 use hcs_core::StorageSystem;
 use hcs_dftrace::EventCategory;
-use hcs_simkit::{FlowLogHandle, FlowNet, IntervalSet};
+use hcs_simkit::{FlowNet, IntervalSet};
 
 use crate::config::DlioConfig;
 use crate::result::DlioResult;
@@ -62,9 +62,11 @@ fn run_dlio_impl(
 
     let phase = config.phase(nodes);
     let mut net = FlowNet::new();
-    // Pure listener — attaching it cannot change the run (pinned by
+    // Pure listener — recording cannot change the run (pinned by
     // tests/telemetry_parity.rs).
-    let probe = recorder.is_some().then(|| FlowLogHandle::attach(&mut net));
+    if recorder.is_some() {
+        net.record_flows();
+    }
     let prov = system.provision(&mut net, nodes, 1, &phase);
 
     // Optional checkpoint write path: a second provisioning pass adds
@@ -135,7 +137,7 @@ fn run_dlio_impl(
         sys += d.system_throughput(samples);
     }
 
-    if let (Some(rec), Some(probe)) = (recorder, probe) {
+    if let (Some(rec), Some(flow_log)) = (recorder, net.take_flow_log()) {
         // Stage attribution covers both provisioning passes (read path
         // and, when checkpointing, the write path into the same net).
         let mut kinds = prov.stage_kinds.clone();
@@ -144,7 +146,7 @@ fn run_dlio_impl(
         }
         rec.merge_events(&out.tracer);
         let label = format!("dlio {} {}n", config.name, nodes);
-        rec.absorb_phase(&label, &probe.snapshot(), &kinds, out.duration);
+        rec.absorb_phase(&label, &flow_log, &kinds, out.duration);
     }
 
     DlioResult {

@@ -15,16 +15,18 @@ use hcs_core::chaos::{
     timeline_cost, ChaosCampaign, ChaosInvariant, ChaosReport, ChaosRunRecord, ChaosViolation,
 };
 use hcs_core::runner::{run_phase, run_phase_chaos, ChaosPhaseRun, FaultPhaseError};
-use hcs_core::{FaultSpec, PhaseOutcome, PhaseSpec, Scenario, StageKind, Workload};
+use hcs_core::{FaultSpec, PhaseOutcome, PhaseSpec, Scenario, StageKind, StorageSystem, Workload};
 
 use crate::deck::{build_system, validate_deck};
 use crate::sweep::parallel_sweep;
 
-/// One expanded deck point prepared for fuzzing: its resolved run
-/// shape, the stage kinds its deployment plan actually contains, the
-/// fault-free twin outcome and the budget fitted to the twin's runtime.
+/// One expanded deck point prepared for fuzzing: its system (built
+/// once, shared read-only by every timeline the pool drives), resolved
+/// run shape, the stage kinds its deployment plan actually contains and
+/// the fault-free twin outcome.
 struct PointCtx {
     scenario: Scenario,
+    system: Box<dyn StorageSystem>,
     phase: PhaseSpec,
     nodes: u32,
     ppn: u32,
@@ -78,6 +80,7 @@ fn prepare_point(scenario: &Scenario) -> Result<PointCtx, String> {
     let twin = run_phase(system.as_ref(), nodes, ppn, &phase);
     Ok(PointCtx {
         scenario: scenario.clone(),
+        system,
         phase,
         nodes,
         ppn,
@@ -87,12 +90,11 @@ fn prepare_point(scenario: &Scenario) -> Result<PointCtx, String> {
 }
 
 /// Drives one timeline (and, for multi-fault jitter-free timelines, its
-/// all-but-last prefix) through [`run_phase_chaos`]. Systems are
-/// rebuilt per task: `StorageSystem` boxes aren't shared across the
-/// sweep pool, and construction is cheap next to the solve.
+/// all-but-last prefix) through [`run_phase_chaos`] on the point's
+/// system.
 fn drive_timeline(ctx: &PointCtx, specs: &[FaultSpec]) -> TimelineRun {
-    let (system, _) = build_system(&ctx.scenario);
-    let run = match run_phase_chaos(system.as_ref(), ctx.nodes, ctx.ppn, &ctx.phase, specs) {
+    let system = ctx.system.as_ref();
+    let run = match run_phase_chaos(system, ctx.nodes, ctx.ppn, &ctx.phase, specs) {
         Ok(run) => run,
         Err(FaultPhaseError::Stalled { at, starved }) => {
             return TimelineRun::Stalled(format!(
@@ -106,11 +108,10 @@ fn drive_timeline(ctx: &PointCtx, specs: &[FaultSpec]) -> TimelineRun {
     // needs a jitter-free, per-stage-disjoint timeline — skip the
     // engine run otherwise.
     let prefix = if specs.len() >= 2 && !has_jitter(specs) && !has_same_stage_overlap(specs) {
-        let (system, _) = build_system(&ctx.scenario);
         // A stalling prefix can't anchor the monotonicity check; the
         // full timeline's own invariants still run.
         run_phase_chaos(
-            system.as_ref(),
+            system,
             ctx.nodes,
             ctx.ppn,
             &ctx.phase,

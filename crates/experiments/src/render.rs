@@ -37,32 +37,6 @@ pub fn to_table(fig: &Figure) -> String {
     out
 }
 
-/// Renders a crude horizontal bar chart of each series' values
-/// (useful for the Fig 4 stacked-time panels).
-pub fn to_bars(fig: &Figure, width: usize) -> String {
-    let max = fig
-        .series
-        .iter()
-        .map(|s| s.y_max())
-        .fold(f64::NEG_INFINITY, f64::max)
-        .max(1e-30);
-    let mut out = format!("# {} — {} ({})\n", fig.id, fig.title, fig.y_label);
-    for s in &fig.series {
-        out.push_str(&format!("{}\n", s.label));
-        for p in &s.points {
-            let n = ((p.y / max) * width as f64).round() as usize;
-            out.push_str(&format!(
-                "  {:>8} {:<width$} {:.4}\n",
-                p.x,
-                "#".repeat(n.min(width)),
-                p.y,
-                width = width
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,12 +57,5 @@ mod tests {
         assert!(t.lines().count() >= 5);
         // Missing point renders as '-'.
         assert!(t.contains('-'));
-    }
-
-    #[test]
-    fn bars_scale_to_width() {
-        let b = to_bars(&fig(), 20);
-        assert!(b.contains("####################")); // the max bar
-        assert!(b.contains("VAST"));
     }
 }

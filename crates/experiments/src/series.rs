@@ -38,11 +38,6 @@ impl Series {
         }
     }
 
-    /// The y values.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.y).collect()
-    }
-
     /// The y value at a given x, if present.
     pub fn y_at(&self, x: f64) -> Option<f64> {
         self.points
@@ -114,7 +109,6 @@ mod tests {
         assert_eq!(s.y_at(2.0), Some(20.0));
         assert_eq!(s.y_at(3.0), None);
         assert_eq!(s.y_max(), 20.0);
-        assert_eq!(s.ys(), vec![10.0, 20.0]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! A collecting [`FlowRecorder`]: raw lifecycle events plus
-//! per-resource allocation timelines.
+//! The flow log: raw lifecycle events plus per-resource allocation
+//! timelines, gathered by a [`FlowNet`](crate::FlowNet) observer.
 //!
-//! [`FlowLogHandle::attach`] installs a probe into a [`FlowNet`] and
-//! keeps a shared handle to the data it gathers. The probe is a pure
-//! listener — the network never reads anything back from it — so an
-//! attached log cannot perturb the simulation (the telemetry
-//! differential tests pin this bit-for-bit).
+//! [`FlowNet::record_flows`](crate::FlowNet::record_flows) starts the
+//! log and [`FlowNet::take_flow_log`](crate::FlowNet::take_flow_log)
+//! hands it back by value. The log is a pure listener — the network
+//! never reads anything back from it — so recording cannot perturb the
+//! simulation (the telemetry differential tests pin this bit-for-bit).
 //!
 //! The log is deliberately *raw*: resource names and capacities, flow
 //! lifetimes, and the step-function allocation samples the network
@@ -14,10 +14,7 @@
 //! events; tests drive a bare `FlowNet` and read the timelines
 //! directly.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use crate::flownet::{FlowId, FlowNet, FlowRecorder, FlowSpec, ResourceId};
+use crate::flownet::{FlowId, FlowSpec, ResourceId};
 
 /// One recorded flow (group) lifetime.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,11 +48,12 @@ pub struct AllocSample {
     /// Allocated throughput per resource, indexed by
     /// [`ResourceId::index`], bytes/s.
     pub allocated: Vec<f64>,
-    /// Capacity per resource at `t`, bytes/s.
+    /// Capacity per resource at `t`, bytes/s. A capacity change shows
+    /// here, in the sample of the epoch it starts.
     pub capacity: Vec<f64>,
 }
 
-/// Everything a [`FlowLogHandle`] probe gathered from one network.
+/// Everything the flow log gathered from one network.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowLog {
     /// Registered resources: `(name, capacity at registration)`, in id
@@ -68,8 +66,6 @@ pub struct FlowLog {
     /// only ever happens when several rate epochs collapse onto one
     /// timestamp).
     pub samples: Vec<AllocSample>,
-    /// Capacity changes: `(t, resource, new capacity)`, in event order.
-    pub capacity_changes: Vec<(f64, ResourceId, f64)>,
 }
 
 impl FlowLog {
@@ -82,28 +78,9 @@ impl FlowLog {
             .map(|s| (s.t, s.allocated[id.index()], s.capacity[id.index()]))
             .collect()
     }
-}
 
-/// The probe installed into the network.
-struct Probe(Rc<RefCell<FlowLog>>);
-
-impl FlowRecorder for Probe {
-    fn on_resource(&mut self, _id: ResourceId, name: &str, capacity: f64) {
-        self.0
-            .borrow_mut()
-            .resources
-            .push((name.to_string(), capacity));
-    }
-
-    fn on_capacity_change(&mut self, now: f64, id: ResourceId, capacity: f64) {
-        self.0
-            .borrow_mut()
-            .capacity_changes
-            .push((now, id, capacity));
-    }
-
-    fn on_flow_start(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
-        self.0.borrow_mut().flows.push(FlowRecord {
+    pub(crate) fn flow_started(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
+        self.flows.push(FlowRecord {
             id,
             tag: spec.tag,
             bytes: spec.bytes,
@@ -115,65 +92,42 @@ impl FlowRecorder for Probe {
         });
     }
 
-    fn on_flow_end(&mut self, now: f64, id: FlowId, _tag: u64, completed: bool) {
-        let mut log = self.0.borrow_mut();
-        if let Some(f) = log.flows.iter_mut().rev().find(|f| f.id == id) {
-            f.end = Some(now);
-            f.completed = completed;
+    pub(crate) fn flow_ended(&mut self, now: f64, id: FlowId, completed: bool) {
+        // Records are pushed in start order, which is id order.
+        if let Ok(i) = self.flows.binary_search_by_key(&id, |f| f.id) {
+            self.flows[i].end = Some(now);
+            self.flows[i].completed = completed;
         }
     }
 
-    fn on_allocation(&mut self, now: f64, allocated: &[f64], capacity: &[f64]) {
-        let mut log = self.0.borrow_mut();
+    pub(crate) fn sample(&mut self, now: f64, allocated: &[f64], capacity: &[f64]) {
         let sample = AllocSample {
             t: now,
             allocated: allocated.to_vec(),
             capacity: capacity.to_vec(),
         };
-        match log.samples.last_mut() {
+        match self.samples.last_mut() {
             Some(last) if last.t == now => *last = sample,
-            _ => log.samples.push(sample),
+            _ => self.samples.push(sample),
         }
-    }
-}
-
-/// Caller-side handle to a [`FlowLog`] probe installed in a network.
-pub struct FlowLogHandle(Rc<RefCell<FlowLog>>);
-
-impl FlowLogHandle {
-    /// Creates a probe, installs it into `net` *alongside* any recorder
-    /// already attached (via [`FlowNet::stack_recorder`]), and returns
-    /// the handle. Attach before adding flows to observe complete
-    /// lifecycles (already-registered resources are replayed
-    /// automatically).
-    pub fn attach(net: &mut FlowNet) -> Self {
-        let log = Rc::new(RefCell::new(FlowLog::default()));
-        net.stack_recorder(Box::new(Probe(Rc::clone(&log))));
-        FlowLogHandle(log)
-    }
-
-    /// A snapshot of everything recorded so far.
-    pub fn snapshot(&self) -> FlowLog {
-        self.0.borrow().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::flownet::{FlowSpec, ResourceSpec};
+    use crate::flownet::{FlowNet, FlowSpec, ResourceSpec};
 
     #[test]
     fn records_resources_flows_and_samples() {
         let mut net = FlowNet::new();
-        let log = FlowLogHandle::attach(&mut net);
+        net.record_flows();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         let a = net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(7));
         assert_eq!(net.flow_rate(a), Some(100.0));
         let end = net.run_to_completion(|_, _| {});
         assert!((end - 10.0).abs() < 1e-9);
 
-        let snap = log.snapshot();
+        let snap = net.take_flow_log().expect("started");
         assert_eq!(snap.resources, vec![("link".to_string(), 100.0)]);
         assert_eq!(snap.flows.len(), 1);
         let f = &snap.flows[0];
@@ -190,9 +144,9 @@ mod tests {
     fn attach_after_resources_replays_them() {
         let mut net = FlowNet::new();
         let r0 = net.add_resource(ResourceSpec::new("a", 1.0));
-        let log = FlowLogHandle::attach(&mut net);
+        net.record_flows();
         let r1 = net.add_resource(ResourceSpec::new("b", 2.0));
-        let snap = log.snapshot();
+        let snap = net.take_flow_log().expect("started");
         assert_eq!(
             snap.resources,
             vec![("a".to_string(), 1.0), ("b".to_string(), 2.0)]
@@ -203,14 +157,19 @@ mod tests {
     #[test]
     fn capacity_changes_and_cancellations_are_logged() {
         let mut net = FlowNet::new();
-        let log = FlowLogHandle::attach(&mut net);
+        net.record_flows();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         let a = net.add_flow(FlowSpec::new(vec![r], 1e6));
         net.advance_to(1.0);
         net.set_resource_capacity(r, 50.0);
+        // The next rate epoch samples the new capacity.
+        assert_eq!(net.flow_rate(a), Some(50.0));
         net.cancel(a);
-        let snap = log.snapshot();
-        assert_eq!(snap.capacity_changes, vec![(1.0, r, 50.0)]);
+        let snap = net.take_flow_log().expect("started");
+        assert_eq!(
+            snap.utilization_of(r),
+            vec![(0.0, 100.0, 100.0), (1.0, 50.0, 50.0)]
+        );
         assert_eq!(snap.flows.len(), 1);
         assert!(!snap.flows[0].completed);
         assert_eq!(snap.flows[0].end, Some(1.0));
@@ -219,12 +178,12 @@ mod tests {
     #[test]
     fn samples_form_a_step_function_across_epochs() {
         let mut net = FlowNet::new();
-        let log = FlowLogHandle::attach(&mut net);
+        net.record_flows();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 1000.0));
         net.add_flow(FlowSpec::new(vec![r], 500.0));
         net.run_to_completion(|_, _| {});
-        let tl = log.snapshot().utilization_of(r);
+        let tl = net.take_flow_log().expect("started").utilization_of(r);
         // Epoch 1 (two flows, saturated) then epoch 2 (one flow left).
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0], (0.0, 100.0, 100.0));

@@ -63,12 +63,14 @@
 //! finish or cancellation removes in place without reordering. The
 //! filling loop walks a component's flows in that order and its
 //! resources in ascending index, so every floating-point sum
-//! accumulates in the same order on every run; completions, recorder
+//! accumulates in the same order on every run; completions, observer
 //! events and rate samples come out in key order too.
 
 use std::fmt;
 
 use crate::faults::{FaultRunReport, FaultTimeline, StallError};
+use crate::flowlog::FlowLog;
+use crate::provenance::{Probe, ProvenanceLog};
 
 /// Relative tolerance used when comparing rates and byte counts.
 const REL_EPS: f64 = 1e-9;
@@ -95,128 +97,114 @@ impl FlowId {
     }
 }
 
-/// Observes a [`FlowNet`]'s lifecycle without perturbing it.
-///
-/// A recorder is a pure listener: the network never reads anything back
-/// from it, so attaching one cannot change a single simulated value —
-/// the zero-perturbation guarantee the telemetry differential tests pin.
-/// Every hook has a no-op default, so recorders implement only what they
-/// need.
-///
-/// Allocation samples ([`FlowRecorder::on_allocation`]) are emitted once
-/// per *rate epoch*: whenever the set of active flows or capacities
-/// changes and the rates are subsequently recomputed. Between two
-/// samples every rate is constant, so the samples form an exact step
-/// function of each resource's utilization over time.
-pub trait FlowRecorder {
-    /// A resource was registered (or replayed at attach time).
-    fn on_resource(&mut self, id: ResourceId, name: &str, capacity: f64) {
-        let _ = (id, name, capacity);
-    }
-
-    /// A resource's capacity changed at `now` (degradation / recovery).
-    fn on_capacity_change(&mut self, now: f64, id: ResourceId, capacity: f64) {
-        let _ = (now, id, capacity);
-    }
-
-    /// A flow (group) was added at `now`.
-    fn on_flow_start(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
-        let _ = (now, id, spec);
-    }
-
-    /// A flow ended at `now`; `completed` is `false` for cancellations.
-    fn on_flow_end(&mut self, now: f64, id: FlowId, tag: u64, completed: bool) {
-        let _ = (now, id, tag, completed);
-    }
-
-    /// Rates were recomputed at `now`: per-resource allocated throughput
-    /// and capacity, both indexed by [`ResourceId::index`]. The values
-    /// hold from `now` until the next sample.
-    fn on_allocation(&mut self, now: f64, allocated: &[f64], capacity: &[f64]) {
-        let _ = (now, allocated, capacity);
-    }
-
-    /// Rates were recomputed at `now`: one [`EpochFlowSample`] per
-    /// active flow (in flow-key order) carrying its achieved and
-    /// standalone (demand) per-member rates, plus the same per-resource
-    /// allocation and capacity vectors as
-    /// [`FlowRecorder::on_allocation`]. Emitted immediately after that
-    /// hook, once per rate epoch; the samples hold from `now` until the
-    /// next epoch. This is the feed the latency-provenance probe
-    /// attributes per-op blame from.
-    fn on_epoch_rates(
-        &mut self,
-        now: f64,
-        samples: &[EpochFlowSample],
-        allocated: &[f64],
-        capacity: &[f64],
-    ) {
-        let _ = (now, samples, allocated, capacity);
-    }
-}
-
-/// One active flow's rate standing within a rate epoch, as passed to
-/// [`FlowRecorder::on_epoch_rates`].
+/// One active flow's rate standing within a rate epoch, as the
+/// provenance probe reads it from the [`EpochFeed`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EpochFlowSample {
+pub(crate) struct EpochFlowSample {
     /// The flow being sampled.
-    pub id: FlowId,
+    pub(crate) id: FlowId,
     /// Achieved per-member rate (bytes/s) over this epoch.
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// The per-member rate the flow would achieve standing *alone* at
     /// the current capacities: `min(rate_cap, min over the path of
     /// capacity_r / share_r)`. Comparing the achieved rate against this
     /// demand tells an observer whether the flow was contended during
     /// the epoch without re-running the solver.
-    pub demand: f64,
+    pub(crate) demand: f64,
 }
 
-/// Fans every [`FlowRecorder`] hook out to two recorders, first then
-/// second — the glue behind [`FlowNet::stack_recorder`] that lets a
-/// telemetry flow log and a latency-provenance probe observe one run
-/// side by side. Like any recorder it is a pure listener, so stacking
-/// cannot change a single simulated value.
-pub struct TeeRecorder {
-    first: Box<dyn FlowRecorder>,
-    second: Box<dyn FlowRecorder>,
+/// What the observers read about the current rate epoch, refilled once
+/// per epoch into buffers the network keeps. The values hold from the
+/// epoch's start until the next epoch.
+#[derive(Default)]
+pub(crate) struct EpochFeed {
+    /// Allocated throughput per resource, indexed by
+    /// [`ResourceId::index`], bytes/s.
+    pub(crate) alloc: Vec<f64>,
+    /// Capacity per resource, bytes/s.
+    pub(crate) caps: Vec<f64>,
+    /// One sample per active flow, in key order; filled only while the
+    /// provenance probe is on.
+    pub(crate) flows: Vec<EpochFlowSample>,
 }
 
-impl FlowRecorder for TeeRecorder {
-    fn on_resource(&mut self, id: ResourceId, name: &str, capacity: f64) {
-        self.first.on_resource(id, name, capacity);
-        self.second.on_resource(id, name, capacity);
+/// The network's optional observers: the flow log and the provenance
+/// probe. Both are pure listeners — the network never reads anything
+/// back from them — so starting one cannot change a single simulated
+/// value (the telemetry and provenance differential tests pin this
+/// bit-for-bit).
+#[derive(Default)]
+struct Observers {
+    flow_log: Option<FlowLog>,
+    provenance: Option<Probe>,
+    feed: EpochFeed,
+}
+
+impl Observers {
+    fn resource(&mut self, name: &str, capacity: f64) {
+        if let Some(log) = &mut self.flow_log {
+            log.resources.push((name.to_string(), capacity));
+        }
+        if let Some(p) = &mut self.provenance {
+            p.log.resources.push((name.to_string(), capacity));
+        }
     }
 
-    fn on_capacity_change(&mut self, now: f64, id: ResourceId, capacity: f64) {
-        self.first.on_capacity_change(now, id, capacity);
-        self.second.on_capacity_change(now, id, capacity);
+    fn flow_started(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
+        if let Some(log) = &mut self.flow_log {
+            log.flow_started(now, id, spec);
+        }
+        if let Some(p) = &mut self.provenance {
+            p.flow_started(now, id, spec);
+        }
     }
 
-    fn on_flow_start(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
-        self.first.on_flow_start(now, id, spec);
-        self.second.on_flow_start(now, id, spec);
+    fn flow_ended(&mut self, now: f64, id: FlowId, completed: bool) {
+        if let Some(log) = &mut self.flow_log {
+            log.flow_ended(now, id, completed);
+        }
+        if let Some(p) = &mut self.provenance {
+            p.flow_ended(now, id, completed, &self.feed);
+        }
     }
 
-    fn on_flow_end(&mut self, now: f64, id: FlowId, tag: u64, completed: bool) {
-        self.first.on_flow_end(now, id, tag, completed);
-        self.second.on_flow_end(now, id, tag, completed);
-    }
-
-    fn on_allocation(&mut self, now: f64, allocated: &[f64], capacity: &[f64]) {
-        self.first.on_allocation(now, allocated, capacity);
-        self.second.on_allocation(now, allocated, capacity);
-    }
-
-    fn on_epoch_rates(
-        &mut self,
-        now: f64,
-        samples: &[EpochFlowSample],
-        allocated: &[f64],
-        capacity: &[f64],
-    ) {
-        self.first.on_epoch_rates(now, samples, allocated, capacity);
-        self.second
-            .on_epoch_rates(now, samples, allocated, capacity);
+    /// A rate epoch begins at `now`: provenance charges the outgoing
+    /// epoch at the rates the feed still holds, then the feed is
+    /// refilled from the new rates and the flow log samples it.
+    fn epoch(&mut self, now: f64, flows: &[Flow], resources: &[ResourceSpec]) {
+        if self.flow_log.is_none() && self.provenance.is_none() {
+            return;
+        }
+        if let Some(p) = &mut self.provenance {
+            p.close_epoch(now, &self.feed);
+        }
+        let feed = &mut self.feed;
+        feed.alloc.clear();
+        feed.alloc.resize(resources.len(), 0.0);
+        feed.flows.clear();
+        for f in flows {
+            for h in &f.path {
+                feed.alloc[h.res] += f.rate * h.share;
+            }
+            if self.provenance.is_some() {
+                // Standalone rate at the *current* capacities — what the
+                // flow would get with the network to itself.
+                let mut demand = f.rate_cap.unwrap_or(f64::INFINITY);
+                for h in &f.path {
+                    demand = demand.min(resources[h.res].capacity / h.share);
+                }
+                feed.flows.push(EpochFlowSample {
+                    id: FlowId(f.key),
+                    rate: f.rate,
+                    demand,
+                });
+            }
+        }
+        feed.caps.clear();
+        feed.caps.extend(resources.iter().map(|r| r.capacity));
+        if let Some(log) = &mut self.flow_log {
+            log.sample(now, &feed.alloc, &feed.caps);
+        }
     }
 }
 
@@ -468,8 +456,9 @@ pub struct FlowNet {
     dirty: Vec<bool>,
     /// The solver's buffers, reused by every solve.
     scratch: SolveScratch,
-    /// Optional pure listener; never consulted for any computation.
-    recorder: Option<Box<dyn FlowRecorder>>,
+    /// The flow log and provenance probe, when started; never consulted
+    /// for any computation.
+    observers: Observers,
 }
 
 impl Default for FlowNet {
@@ -492,7 +481,7 @@ impl FlowNet {
             rate_epochs: 0,
             dirty: Vec::new(),
             scratch: SolveScratch::default(),
-            recorder: None,
+            observers: Observers::default(),
         }
     }
 
@@ -515,25 +504,45 @@ impl FlowNet {
         self.started
     }
 
-    /// Installs a [`FlowRecorder`] beside any already attached, without
-    /// disturbing them: the recorders are combined into a
-    /// [`TeeRecorder`] that forwards every hook to each in attach order.
-    /// Resources registered so far are replayed into the new recorder
-    /// only (the existing ones already saw them), so attachment order
-    /// does not matter for the resource table. Flows already active are
-    /// *not* replayed — attach before adding flows to observe complete
-    /// lifecycles.
-    pub fn stack_recorder(&mut self, mut recorder: Box<dyn FlowRecorder>) {
-        for (i, r) in self.resources.iter().enumerate() {
-            recorder.on_resource(ResourceId(i as u32), &r.name, r.capacity);
-        }
-        self.recorder = Some(match self.recorder.take() {
-            Some(existing) => Box::new(TeeRecorder {
-                first: existing,
-                second: recorder,
-            }),
-            None => recorder,
+    /// Starts (or restarts) the flow log ([`FlowLog`]): resource
+    /// registrations, flow lifetimes and one allocation sample per rate
+    /// epoch. The log starts with the resources registered so far;
+    /// flows already active are not included, so start it before adding
+    /// flows to observe complete lifecycles.
+    pub fn record_flows(&mut self) {
+        self.observers.flow_log = Some(FlowLog {
+            resources: self.resource_table(),
+            ..FlowLog::default()
         });
+    }
+
+    /// Stops the flow log and returns it, or `None` if it was not
+    /// started.
+    pub fn take_flow_log(&mut self) -> Option<FlowLog> {
+        self.observers.flow_log.take()
+    }
+
+    /// Starts (or restarts) the latency-provenance probe
+    /// ([`crate::provenance`]), which decomposes every flow completed
+    /// from now on. Like [`FlowNet::record_flows`], it starts with the
+    /// resources registered so far.
+    pub fn record_provenance(&mut self) {
+        self.observers.provenance = Some(Probe::new(self.resource_table()));
+        self.observers.feed.flows.clear();
+    }
+
+    /// Stops the provenance probe and returns its log, or `None` if it
+    /// was not started.
+    pub fn take_provenance(&mut self) -> Option<ProvenanceLog> {
+        self.observers.provenance.take().map(|p| p.log)
+    }
+
+    /// `(name, capacity)` of every registered resource, in id order.
+    fn resource_table(&self) -> Vec<(String, f64)> {
+        self.resources
+            .iter()
+            .map(|r| (r.name.clone(), r.capacity))
+            .collect()
     }
 
     /// Registers a resource and returns its id.
@@ -549,9 +558,7 @@ impl FlowNet {
         );
         assert!(spec.instances >= 1, "instances must be >= 1");
         let id = ResourceId(u32::try_from(self.resources.len()).expect("too many resources"));
-        if let Some(rec) = &mut self.recorder {
-            rec.on_resource(id, &spec.name, spec.capacity);
-        }
+        self.observers.resource(&spec.name, spec.capacity);
         self.resources.push(spec);
         self.dirty.push(false);
         id
@@ -600,9 +607,6 @@ impl FlowNet {
         self.resources[id.index()].capacity = capacity;
         self.rates_valid = false;
         self.dirty[id.index()] = true;
-        if let Some(rec) = &mut self.recorder {
-            rec.on_capacity_change(self.now, id, capacity);
-        }
     }
 
     /// Starts a flow (group). Rates of all flows are re-divided from the
@@ -637,9 +641,7 @@ impl FlowNet {
         let key = self.next_flow;
         self.next_flow += 1;
         self.started += spec.represents as u64;
-        if let Some(rec) = &mut self.recorder {
-            rec.on_flow_start(self.now, FlowId(key), &spec);
-        }
+        self.observers.flow_started(self.now, FlowId(key), &spec);
         let mut path = Vec::with_capacity(spec.path.len());
         for r in &spec.path {
             self.dirty[r.index()] = true;
@@ -675,9 +677,7 @@ impl FlowNet {
             self.dirty[h.res] = true;
         }
         self.rates_valid = false;
-        if let Some(rec) = &mut self.recorder {
-            rec.on_flow_end(self.now, id, f.tag, false);
-        }
+        self.observers.flow_ended(self.now, id, false);
         true
     }
 
@@ -764,7 +764,7 @@ impl FlowNet {
             flows,
             dirty,
             completed,
-            recorder,
+            observers,
             ..
         } = self;
         flows.retain(|f| {
@@ -775,9 +775,7 @@ impl FlowNet {
             for h in &f.path {
                 dirty[h.res] = true;
             }
-            if let Some(rec) = recorder {
-                rec.on_flow_end(now, FlowId(f.key), f.tag, true);
-            }
+            observers.flow_ended(now, FlowId(f.key), true);
             completed.push(Completion {
                 id: FlowId(f.key),
                 tag: f.tag,
@@ -966,32 +964,7 @@ impl FlowNet {
         self.recompute_rates();
         self.rates_valid = true;
         self.rate_epochs += 1;
-        // One allocation sample per rate epoch. The recorder is a pure
-        // listener, so emitting (or not emitting) a sample cannot change
-        // any simulated value.
-        if let Some(rec) = &mut self.recorder {
-            let mut alloc = vec![0.0; self.resources.len()];
-            let mut samples = Vec::with_capacity(self.flows.len());
-            for f in &self.flows {
-                for h in &f.path {
-                    alloc[h.res] += f.rate * h.share;
-                }
-                // Standalone rate at the *current* capacities — what the
-                // flow would get with the network to itself.
-                let mut demand = f.rate_cap.unwrap_or(f64::INFINITY);
-                for h in &f.path {
-                    demand = demand.min(self.resources[h.res].capacity / h.share);
-                }
-                samples.push(EpochFlowSample {
-                    id: FlowId(f.key),
-                    rate: f.rate,
-                    demand,
-                });
-            }
-            let caps: Vec<f64> = self.resources.iter().map(|r| r.capacity).collect();
-            rec.on_allocation(self.now, &alloc, &caps);
-            rec.on_epoch_rates(self.now, &samples, &alloc, &caps);
-        }
+        self.observers.epoch(self.now, &self.flows, &self.resources);
     }
 
     /// Weighted max-min fair allocation, solved incrementally.

@@ -20,7 +20,10 @@
 //! schedules — outages, degradations, recoveries — consumed by the
 //! drive loop), [`arrivals`] (seeded open-loop arrival schedules —
 //! fixed-rate and Poisson — whose ops the same drive loop admits),
-//! [`flowlog`] and [`provenance`] (zero-perturbation observers), [`rng`]
+//! [`flowlog`] and [`provenance`] (the two observers a network owns:
+//! [`FlowNet::record_flows`] and [`FlowNet::record_provenance`] start
+//! them, the matching `take_*` call returns the log by value; both are
+//! pure listeners, fed once per rate epoch), [`rng`]
 //! (seeded, label-splittable random streams), [`stats`] (online summary
 //! statistics), [`intervals`] (interval-set algebra used for I/O overlap
 //! analysis), and [`units`] (byte/bandwidth unit helpers).
@@ -43,12 +46,11 @@ pub mod units;
 
 pub use arrivals::{arrival_times, ArrivalDiscipline};
 pub use faults::{CapacityEvent, FaultRunReport, FaultTimeline, StallError};
-pub use flowlog::{AllocSample, FlowLog, FlowLogHandle, FlowRecord};
+pub use flowlog::{AllocSample, FlowLog, FlowRecord};
 pub use flownet::{
-    Completion, DriveHooks, EpochFlowSample, FlowId, FlowNet, FlowRecorder, FlowSpec, OpIdentity,
-    ResourceId, ResourceSpec, TeeRecorder,
+    Completion, DriveHooks, FlowId, FlowNet, FlowSpec, OpIdentity, ResourceId, ResourceSpec,
 };
 pub use intervals::IntervalSet;
-pub use provenance::{OpProvenance, ProvenanceHandle, ProvenanceLog};
+pub use provenance::{OpProvenance, ProvenanceLog};
 pub use rng::SimRng;
 pub use stats::{OnlineStats, Summary};

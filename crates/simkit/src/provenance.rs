@@ -1,8 +1,10 @@
 //! Per-op latency provenance: exact critical-path blame attribution.
 //!
-//! [`ProvenanceHandle::attach`] installs a probe into a [`FlowNet`]
-//! that decomposes every completed flow's submit→finish latency into
-//! four exhaustive components:
+//! [`FlowNet::record_provenance`](crate::FlowNet::record_provenance)
+//! starts a probe in the network that decomposes every completed flow's
+//! submit→finish latency into four exhaustive components, and
+//! [`FlowNet::take_provenance`](crate::FlowNet::take_provenance) hands
+//! back the log by value:
 //!
 //! * **queueing** — submit→admission delay (open-loop arrivals held
 //!   behind earlier work),
@@ -14,8 +16,9 @@
 //!   its demand rate (including alone on a saturated resource —
 //!   self-saturation is service, not contention).
 //!
-//! The network emits its rate table once per *rate epoch*
-//! ([`FlowRecorder::on_epoch_rates`]) and rates are constant between
+//! The network feeds the probe its rate table once per *rate epoch* —
+//! each flow's achieved and standalone (demand) rate, plus every
+//! resource's allocation and capacity — and rates are constant between
 //! epochs, so the attribution is exact, not sampled: every in-flight
 //! second of every op lands in exactly one bucket.
 //!
@@ -36,17 +39,15 @@
 //! the conservation property the proptest in `tests/provenance.rs`
 //! pins on real runs.
 //!
-//! Like the [`crate::flowlog`] probe, the provenance probe is a pure
-//! listener: the network never reads anything back from it, so an
-//! attached probe cannot change a single simulated value — the
+//! Like the flow log ([`crate::flowlog`]), the provenance probe is a
+//! pure listener: the network never reads anything back from it, so a
+//! running probe cannot change a single simulated value — the
 //! differential tests pin provenance-on runs bit-identical to
 //! provenance-off.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use crate::flownet::{EpochFlowSample, FlowId, FlowNet, FlowRecorder, FlowSpec, OpIdentity};
+use crate::flownet::{EpochFeed, EpochFlowSample, FlowId, FlowSpec, OpIdentity};
 
 /// Relative slack below which a flow's achieved rate counts as equal to
 /// its standalone demand. Achieved and demand are computed by different
@@ -104,7 +105,7 @@ impl OpProvenance {
     }
 }
 
-/// Everything a [`ProvenanceHandle`] probe gathered from one network.
+/// Everything the provenance probe gathered from one network.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProvenanceLog {
     /// Registered resources: `(name, capacity at registration)`, in id
@@ -127,20 +128,14 @@ struct Pending {
     blame: BTreeMap<u32, f64>,
 }
 
-/// Probe-internal state: the current epoch's rate table plus per-flow
-/// accumulators.
-#[derive(Default)]
-struct State {
-    log: ProvenanceLog,
+/// The probe a [`FlowNet`](crate::FlowNet) runs while provenance is
+/// on: the log so far plus per-flow accumulators. The epoch's rate
+/// table lives in the network's [`EpochFeed`].
+pub(crate) struct Probe {
+    pub(crate) log: ProvenanceLog,
     pending: BTreeMap<u64, Pending>,
     /// Start time of the current rate epoch.
     epoch_t: f64,
-    /// The rate samples holding since `epoch_t`, in flow-key order (as
-    /// the network emits them).
-    epoch: Vec<EpochFlowSample>,
-    /// Per-resource allocation and capacity holding since `epoch_t`.
-    alloc: Vec<f64>,
-    caps: Vec<f64>,
 }
 
 impl Pending {
@@ -148,14 +143,7 @@ impl Pending {
     /// up to `now`, to stall, a blamed resource, or (implicitly) the
     /// ideal remainder, from the flow's `sample` and the epoch's
     /// per-resource allocation and capacity.
-    fn charge(
-        &mut self,
-        sample: &EpochFlowSample,
-        epoch_t: f64,
-        now: f64,
-        alloc: &[f64],
-        caps: &[f64],
-    ) {
+    fn charge(&mut self, sample: &EpochFlowSample, epoch_t: f64, now: f64, feed: &EpochFeed) {
         let t0 = epoch_t.max(self.admitted_at);
         let dt = now - t0;
         if dt <= 0.0 {
@@ -169,11 +157,11 @@ impl Pending {
             // the lowest index for determinism).
             let mut binding: Option<(u32, f64)> = None;
             for &r in &self.path {
-                let cap = caps[r as usize];
+                let cap = feed.caps[r as usize];
                 if cap <= 0.0 {
                     continue;
                 }
-                let ratio = alloc[r as usize] / cap;
+                let ratio = feed.alloc[r as usize] / cap;
                 if binding.is_none_or(|(_, best)| ratio > best) {
                     binding = Some((r, ratio));
                 }
@@ -187,21 +175,21 @@ impl Pending {
     }
 }
 
-/// The probe installed into the network.
-struct Probe(Rc<RefCell<State>>);
-
-impl FlowRecorder for Probe {
-    fn on_resource(&mut self, _id: crate::flownet::ResourceId, name: &str, capacity: f64) {
-        self.0
-            .borrow_mut()
-            .log
-            .resources
-            .push((name.to_string(), capacity));
+impl Probe {
+    /// A probe whose index space starts with `resources`.
+    pub(crate) fn new(resources: Vec<(String, f64)>) -> Self {
+        Probe {
+            log: ProvenanceLog {
+                resources,
+                ops: Vec::new(),
+            },
+            pending: BTreeMap::new(),
+            epoch_t: 0.0,
+        }
     }
 
-    fn on_flow_start(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
-        let mut st = self.0.borrow_mut();
-        st.pending.insert(
+    pub(crate) fn flow_started(&mut self, now: f64, id: FlowId, spec: &FlowSpec) {
+        self.pending.insert(
             id.raw(),
             Pending {
                 tag: spec.tag,
@@ -216,9 +204,9 @@ impl FlowRecorder for Probe {
         );
     }
 
-    fn on_flow_end(&mut self, now: f64, id: FlowId, _tag: u64, completed: bool) {
-        let mut st = self.0.borrow_mut();
-        let Some(mut p) = st.pending.remove(&id.raw()) else {
+    /// A flow ended at `now`; `feed` still holds the epoch it ran in.
+    pub(crate) fn flow_ended(&mut self, now: f64, id: FlowId, completed: bool, feed: &EpochFeed) {
+        let Some(mut p) = self.pending.remove(&id.raw()) else {
             return;
         };
         // Close the flow's slice of the in-progress epoch: `advance_to`
@@ -227,8 +215,8 @@ impl FlowRecorder for Probe {
         // epoch's rates. A flow admitted and finished without ever
         // appearing in a rate epoch (sub-tolerance) has no sample: the
         // remainder absorbs it.
-        if let Ok(i) = st.epoch.binary_search_by_key(&id.raw(), |s| s.id.raw()) {
-            p.charge(&st.epoch[i], st.epoch_t, now, &st.alloc, &st.caps);
+        if let Ok(i) = feed.flows.binary_search_by_key(&id.raw(), |s| s.id.raw()) {
+            p.charge(&feed.flows[i], self.epoch_t, now, feed);
         }
         if !completed {
             return; // cancelled — no latency to decompose
@@ -253,63 +241,23 @@ impl FlowRecorder for Probe {
             ideal: 0.0,
         };
         let ideal = op.remainder();
-        st.log.ops.push(OpProvenance { ideal, ..op });
+        self.log.ops.push(OpProvenance { ideal, ..op });
     }
 
-    fn on_epoch_rates(
-        &mut self,
-        now: f64,
-        samples: &[EpochFlowSample],
-        allocated: &[f64],
-        capacity: &[f64],
-    ) {
-        let mut st = self.0.borrow_mut();
-        let State {
-            pending,
-            epoch_t,
-            epoch,
-            alloc,
-            caps,
-            ..
-        } = &mut *st;
-        // The previous epoch's rates held from epoch_t until now:
-        // charge that interval to every still-pending flow it covered,
-        // in one merge-walk (both sides are in flow-key order).
-        let mut open = pending.iter_mut().peekable();
-        for s in epoch.iter() {
+    /// A new rate epoch begins at `now`. The outgoing epoch's rates,
+    /// which `feed` still holds, ran from `epoch_t` until now: charge
+    /// that interval to every still-pending flow it covered, in one
+    /// merge-walk (both sides are in flow-key order).
+    pub(crate) fn close_epoch(&mut self, now: f64, feed: &EpochFeed) {
+        let mut open = self.pending.iter_mut().peekable();
+        for s in &feed.flows {
             let key = s.id.raw();
             while open.next_if(|(k, _)| **k < key).is_some() {}
             if let Some((_, p)) = open.next_if(|(k, _)| **k == key) {
-                p.charge(s, *epoch_t, now, alloc, caps);
+                p.charge(s, self.epoch_t, now, feed);
             }
         }
-        *epoch_t = now;
-        epoch.clear();
-        epoch.extend_from_slice(samples);
-        alloc.clear();
-        alloc.extend_from_slice(allocated);
-        caps.clear();
-        caps.extend_from_slice(capacity);
-    }
-}
-
-/// Caller-side handle to a provenance probe installed in a network.
-pub struct ProvenanceHandle(Rc<RefCell<State>>);
-
-impl ProvenanceHandle {
-    /// Creates a probe and installs it into `net` *alongside* any
-    /// recorder already attached (via [`FlowNet::stack_recorder`], so a
-    /// telemetry flow log and the provenance probe observe the same
-    /// run). Attach before adding flows to observe complete lifecycles.
-    pub fn attach(net: &mut FlowNet) -> Self {
-        let state = Rc::new(RefCell::new(State::default()));
-        net.stack_recorder(Box::new(Probe(Rc::clone(&state))));
-        ProvenanceHandle(state)
-    }
-
-    /// A snapshot of every completed-op decomposition recorded so far.
-    pub fn snapshot(&self) -> ProvenanceLog {
-        self.0.borrow().log.clone()
+        self.epoch_t = now;
     }
 }
 
@@ -317,7 +265,7 @@ impl ProvenanceHandle {
 mod tests {
     use super::*;
     use crate::faults::FaultTimeline;
-    use crate::flownet::{Completion, ResourceSpec};
+    use crate::flownet::{Completion, FlowNet, ResourceSpec};
 
     fn assert_conserved(log: &ProvenanceLog) {
         for op in &log.ops {
@@ -333,11 +281,11 @@ mod tests {
     #[test]
     fn lone_saturating_flow_is_all_ideal() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(1));
         net.run_to_completion(|_, _| {});
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         assert_eq!(log.ops.len(), 1);
         let op = &log.ops[0];
         // Alone on a saturated link: self-saturation is service.
@@ -351,12 +299,12 @@ mod tests {
     #[test]
     fn contended_interval_is_blamed_on_the_shared_link() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(1));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(2));
         net.run_to_completion(|_, _| {});
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         assert_eq!(log.ops.len(), 2);
         // Both flows share the link at 50 each for 20s; both finish at
         // t=20 having spent their whole life contended.
@@ -372,12 +320,12 @@ mod tests {
     #[test]
     fn survivor_turns_ideal_after_the_rival_departs() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 500.0).with_tag(1));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(2));
         net.run_to_completion(|_, _| {});
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         let long = log.ops.iter().find(|o| o.tag == 2).expect("tag 2");
         // Contended at 50 B/s until t=10 (rival's 500 B done), then
         // alone at 100 B/s for the remaining 500 B: 5 more seconds.
@@ -391,7 +339,7 @@ mod tests {
     #[test]
     fn outage_windows_land_in_stall() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(7));
         // Dead from t=4 to t=7, then fully recovered.
@@ -401,7 +349,7 @@ mod tests {
         ]);
         net.drive(Vec::new(), &tl, |_: &mut FlowNet, _: Completion| {})
             .expect("recovers");
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         assert_eq!(log.ops.len(), 1);
         let op = &log.ops[0];
         assert!((op.stall - 3.0).abs() < 1e-9, "stall {}", op.stall);
@@ -413,12 +361,12 @@ mod tests {
     #[test]
     fn deferred_admission_counts_as_queueing() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         net.advance_to(2.0);
         net.add_flow(FlowSpec::new(vec![r], 100.0).with_tag(1).submitted_at(0.5));
         net.run_to_completion(|_, _| {});
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         let op = &log.ops[0];
         assert!((op.queueing - 1.5).abs() < 1e-9);
         assert!((op.latency - 2.5).abs() < 1e-9);
@@ -428,35 +376,34 @@ mod tests {
     #[test]
     fn cancelled_flows_are_dropped() {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let r = net.add_resource(ResourceSpec::new("link", 100.0));
         let id = net.add_flow(FlowSpec::new(vec![r], 1e6));
         net.advance_to(1.0);
         net.cancel(id);
-        assert!(prov.snapshot().ops.is_empty());
+        assert!(net.take_provenance().expect("started").ops.is_empty());
     }
 
     #[test]
     fn stacks_beside_a_flow_log_without_disturbing_it() {
-        // Either attach order: neither recorder may detach the other.
-        use crate::flowlog::FlowLogHandle;
+        // Either start order: neither observer may disturb the other.
         for provenance_first in [false, true] {
             let mut net = FlowNet::new();
-            let (flowlog, prov) = if provenance_first {
-                let prov = ProvenanceHandle::attach(&mut net);
-                (FlowLogHandle::attach(&mut net), prov)
+            if provenance_first {
+                net.record_provenance();
+                net.record_flows();
             } else {
-                let flowlog = FlowLogHandle::attach(&mut net);
-                (flowlog, ProvenanceHandle::attach(&mut net))
-            };
+                net.record_flows();
+                net.record_provenance();
+            }
             let r = net.add_resource(ResourceSpec::new("link", 100.0));
             net.add_flow(FlowSpec::new(vec![r], 1000.0).with_tag(3));
             net.run_to_completion(|_, _| {});
-            let flog = flowlog.snapshot();
+            let flog = net.take_flow_log().expect("started");
             assert_eq!(flog.resources, vec![("link".to_string(), 100.0)]);
             assert_eq!(flog.flows.len(), 1);
             assert!(flog.flows[0].completed);
-            let plog = prov.snapshot();
+            let plog = net.take_provenance().expect("started");
             assert_eq!(
                 plog.resources,
                 vec![("link".to_string(), 100.0)],

@@ -5,7 +5,7 @@
 
 use hcs_gpfs::GpfsConfig;
 use hcs_ior::{run_ior, IorConfig, WorkloadClass};
-use hcs_simkit::{FlowLogHandle, FlowNet, FlowSpec, ResourceSpec};
+use hcs_simkit::{FlowNet, FlowSpec, ResourceSpec};
 use hcs_vast::{vast_on_lassen, vast_on_wombat};
 
 #[test]
@@ -22,7 +22,7 @@ fn mid_run_link_degradation_slows_flows() {
 #[test]
 fn total_link_failure_stalls_then_recovers() {
     let mut net = FlowNet::new();
-    let probe = FlowLogHandle::attach(&mut net);
+    net.record_flows();
     let link = net.add_resource(ResourceSpec::new("link", 100.0));
     net.add_flow(FlowSpec::new(vec![link], 1000.0));
     net.advance_to(1.0);
@@ -36,7 +36,7 @@ fn total_link_failure_stalls_then_recovers() {
     // The telemetry timeline must show the outage as a utilization hole:
     // full rate until the failure, a dead window [1, 5), full rate again
     // on recovery — the step function a Chrome-trace viewer would draw.
-    let timeline = probe.snapshot().utilization_of(link);
+    let timeline = net.take_flow_log().expect("started").utilization_of(link);
     let expect = [(0.0, 100.0, 100.0), (1.0, 0.0, 0.0), (5.0, 100.0, 100.0)];
     assert_eq!(timeline.len(), expect.len(), "timeline: {timeline:?}");
     for ((t, alloc, cap), (et, ea, ec)) in timeline.iter().zip(expect) {

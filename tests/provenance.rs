@@ -16,7 +16,7 @@
 use hcs_core::runner::OpenLoopOutcome;
 use hcs_core::{Arrival, Discipline, FaultSpec, StageKind};
 use hcs_ior::{run_ior_with, IorConfig, IorReport, IorRun, WorkloadClass};
-use hcs_simkit::{FlowNet, FlowSpec, ProvenanceHandle, ProvenanceLog, ResourceSpec};
+use hcs_simkit::{FlowNet, FlowSpec, ProvenanceLog, ResourceSpec};
 use proptest::prelude::*;
 
 /// Asserts every op in the log conserves: the stored ideal equals the
@@ -66,7 +66,7 @@ proptest! {
         ),
     ) {
         let mut net = FlowNet::new();
-        let prov = ProvenanceHandle::attach(&mut net);
+        net.record_provenance();
         let rs: Vec<_> = caps
             .iter()
             .enumerate()
@@ -94,7 +94,7 @@ proptest! {
             expected += 1;
         }
         net.run_to_completion(|_, _| {});
-        let log = prov.snapshot();
+        let log = net.take_provenance().expect("started");
         prop_assert_eq!(log.ops.len(), expected as usize);
         assert_conserved(&log);
     }
