@@ -198,30 +198,45 @@ fn scale_flag(args: &[String]) -> (Vec<String>, Scale) {
     (rest, scale)
 }
 
+/// Reads the JSON file at `path` for `cmd`, returning its text and
+/// value. Text that is not JSON dies naming its syntax error once,
+/// after `what`: the shapes the file could have held.
+fn read_json(cmd: &str, path: &str, what: &str) -> (String, serde_json::Value) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(&format!("{cmd}: cannot read {path}: {e}")));
+    let value =
+        serde_json::from_str(&text).unwrap_or_else(|e| die(&format!("{cmd}: {path} {what}: {e}")));
+    (text, value)
+}
+
+/// The deck a deck file's value holds: a `Deck`, or a bare `Scenario`
+/// wrapped as a single-point deck.
+fn deck_of(cmd: &str, target: &str, value: serde_json::Value) -> Deck {
+    match serde_json::from_value::<Deck>(value.clone()) {
+        Ok(deck) => deck,
+        Err(deck_err) => match serde_json::from_value::<Scenario>(value) {
+            Ok(sc) => {
+                let name = if sc.name.is_empty() {
+                    "scenario".to_string()
+                } else {
+                    sc.name.clone()
+                };
+                Deck::single(name, sc)
+            }
+            Err(sc_err) => die(&format!(
+                "{cmd}: {target} parses as neither a deck ({deck_err}) nor a scenario ({sc_err})"
+            )),
+        },
+    }
+}
+
 /// Loads a deck: a JSON file holding a `Deck`, a JSON file holding a
 /// bare `Scenario` (wrapped as a single-point deck), or the name of a
 /// builtin deck from the catalog.
 fn load_deck(target: &str, scale: Scale) -> Deck {
-    let path = std::path::Path::new(target);
-    if path.exists() {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("run: cannot read {target}: {e}")));
-        match serde_json::from_str::<Deck>(&json) {
-            Ok(deck) => deck,
-            Err(deck_err) => match serde_json::from_str::<hcs_core::Scenario>(&json) {
-                Ok(sc) => {
-                    let name = if sc.name.is_empty() {
-                        "scenario".to_string()
-                    } else {
-                        sc.name.clone()
-                    };
-                    Deck::single(name, sc)
-                }
-                Err(sc_err) => die(&format!(
-                    "run: {target} parses as neither a deck ({deck_err}) nor a scenario ({sc_err})"
-                )),
-            },
-        }
+    if std::path::Path::new(target).exists() {
+        let (_, value) = read_json("run", target, "parses as neither a deck nor a scenario");
+        deck_of("run", target, value)
     } else {
         let decks = hcs_experiments::figures::all_decks(scale);
         match decks.iter().find(|d| d.name == target) {
@@ -241,15 +256,16 @@ fn load_deck(target: &str, scale: Scale) -> Deck {
 /// anything `load_deck` accepts (deck file, bare scenario, builtin deck
 /// name) wrapped in a default campaign named after the deck.
 fn load_campaign(target: &str, scale: Scale) -> hcs_core::ChaosCampaign {
-    let path = std::path::Path::new(target);
-    if path.exists() {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("chaos: cannot read {target}: {e}")));
-        if let Ok(campaign) = serde_json::from_str::<hcs_core::ChaosCampaign>(&json) {
+    let deck = if std::path::Path::new(target).exists() {
+        let what = "parses as neither a campaign, a deck nor a scenario";
+        let (_, value) = read_json("chaos", target, what);
+        if let Ok(campaign) = serde_json::from_value(value.clone()) {
             return campaign;
         }
-    }
-    let deck = load_deck(target, scale);
+        deck_of("chaos", target, value)
+    } else {
+        load_deck(target, scale)
+    };
     hcs_core::ChaosCampaign::new(format!("chaos-{}", deck.name), deck)
 }
 
@@ -667,14 +683,14 @@ fn main() {
             let path = args
                 .get(1)
                 .unwrap_or_else(|| die("report: missing deck result path (from `hcs run`)"));
-            let json = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("report: cannot read {path}: {e}")));
-            let result: hcs_experiments::DeckResult = match serde_json::from_str(&json) {
+            let what = "is neither a deck result nor a chaos report";
+            let (json, value) = read_json("report", path, what);
+            let result: hcs_experiments::DeckResult = match serde_json::from_value(value.clone()) {
                 Ok(result) => result,
                 // Not a deck result — try the chaos-report shape
                 // before giving up, so `hcs report` fronts both
                 // artifact kinds.
-                Err(deck_err) => match serde_json::from_str::<hcs_core::ChaosReport>(&json) {
+                Err(deck_err) => match serde_json::from_value::<hcs_core::ChaosReport>(value) {
                     Ok(chaos) => {
                         match format.as_str() {
                             "json" => println!("{json}"),

@@ -94,6 +94,26 @@ fn malformed_deck_json_exits_2() {
 }
 
 #[test]
+fn truncated_deck_names_its_syntax_error_once() {
+    // Text that is not JSON fails before either shape is tried, so the
+    // syntax error is named once, not once per shape.
+    let deck = fault_deck("[]");
+    let cut = deck.find(r#""segments": "#).expect("an IOR field") + r#""segments": "#.len();
+    let path = temp_deck("truncated", &deck[..cut]);
+    let error = format!("unexpected end of input at byte {cut}");
+    for (cmd, shapes) in [
+        ("run", "parses as neither a deck nor a scenario"),
+        ("report", "is neither a deck result nor a chaos report"),
+    ] {
+        let out = hcs(&[cmd, path.to_str().unwrap()]);
+        assert_dies_with(&out, &format!("{shapes}: {error}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.matches(&error).count(), 1, "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn unknown_system_key_exits_2() {
     let deck = fault_deck("[]").replace("vast-lassen", "no-such-system");
     let path = temp_deck("unknown-system", &deck);

@@ -175,9 +175,6 @@ pub struct ChaosEvidence {
     /// scheduled recovery event fired, these must equal the entry
     /// snapshot bit for bit.
     pub terminal_capacities: Vec<f64>,
-    /// Concrete capacity events the specs resolved into (including
-    /// events that end up scheduled past the completion time).
-    pub resolved_events: usize,
 }
 
 /// A completed closed-loop phase run: outcome, the engine's drive
@@ -188,7 +185,7 @@ pub struct ChaosPhaseRun {
     pub outcome: PhaseOutcome,
     /// The engine's stall/event accounting for the run.
     pub report: FaultRunReport,
-    /// Entry/terminal capacity snapshots and the resolved event count.
+    /// Entry and terminal capacity snapshots.
     pub evidence: ChaosEvidence,
 }
 
@@ -397,11 +394,6 @@ fn execute(
             // carries the class multiplicity and records `members`
             // observations per completion, so aggregated and expanded
             // decks describe the same offered load.
-            let op_code = match phase.op {
-                hcs_devices::IoOp::Write => 0,
-                hcs_devices::IoOp::Read => 1,
-            };
-            let size_code = phase.transfer_size.max(1.0).log2().round() as u32;
             let arrival_rng = SimRng::new(seed);
             for (unit, &(_, members)) in units.iter().enumerate() {
                 let mut rng = arrival_rng.split_idx("open-arrivals", unit as u64);
@@ -413,9 +405,7 @@ fn execute(
                 );
                 ops_offered += members as u64 * times.len() as u64;
                 for t in times {
-                    let spec = unit_flow(unit, phase.transfer_size)
-                        .with_multiplicity(members)
-                        .with_op(op_code, size_code);
+                    let spec = unit_flow(unit, phase.transfer_size).with_multiplicity(members);
                     arrivals.push((t, spec));
                 }
             }
@@ -456,7 +446,6 @@ fn execute(
     let evidence = ChaosEvidence {
         entry_capacities,
         terminal_capacities: net.capacity_snapshot(),
-        resolved_events: timeline.len(),
     };
 
     let blame_log = net.take_provenance();

@@ -277,9 +277,9 @@ pub fn run_workload_on_traced(
     }
 }
 
-/// Distills an open-loop run into the point's latency rows: one
-/// [`OpLatency`] per op class and size bucket the window exercised (IOR
-/// phases are homogeneous, so exactly one row today).
+/// Distills an open-loop run into the point's latency row: one
+/// [`OpLatency`] for the phase, labelled by its op and transfer size
+/// (an IOR phase is homogeneous).
 fn open_loop_latency(workload: &Workload, open: &OpenLoopOutcome) -> Vec<OpLatency> {
     let Workload::Ior(config) = workload else {
         unreachable!("open-loop runs are IOR-only");

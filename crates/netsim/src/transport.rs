@@ -16,11 +16,10 @@
 //!   client and server and parallel data transfers despite the use of
 //!   NFS" (§V.B).
 //!
-//! The transport yields three quantities consumed by storage-system
-//! models when they provision a [`hcs_simkit::FlowNet`]:
-//! a per-node connection capacity ([`TransportSpec::node_connection_bw`]),
-//! a fair-share weight ([`TransportSpec::share_weight`], more streams ⇒
-//! larger share at shared bottlenecks), and a per-operation latency
+//! The transport yields two quantities consumed by storage-system
+//! models when they provision a [`hcs_simkit::FlowNet`]: a per-node
+//! connection capacity ([`TransportSpec::node_connection_bw`], where
+//! `nconnect` enters) and a per-operation latency
 //! ([`TransportSpec::per_op_latency`]).
 
 use serde::{Deserialize, Serialize};
@@ -127,15 +126,6 @@ impl TransportSpec {
         pool.min(nic_bw)
     }
 
-    /// Fair-share weight of one client stream at shared resources.
-    ///
-    /// A client with 16 connections receives 16 shares at a contended
-    /// CNode pool, which is exactly why `nconnect` helps on busy
-    /// servers.
-    pub fn share_weight(&self) -> f64 {
-        (self.nconnect as f64).max(1.0)
-    }
-
     /// Fixed latency charged to each operation of `transfer_size` bytes
     /// (the transfer time itself is paid in the flow model).
     pub fn per_op_latency(&self) -> f64 {
@@ -162,7 +152,6 @@ mod tests {
     fn tcp_pool_is_one_stream() {
         let t = TransportSpec::nfs_tcp_single();
         assert_eq!(t.node_connection_bw(12.5e9), 1.1e9);
-        assert_eq!(t.share_weight(), 1.0);
     }
 
     #[test]
@@ -172,7 +161,6 @@ mod tests {
         assert_eq!(t.node_connection_bw(12.5e9), 12.5e9);
         // Small NIC clips harder.
         assert_eq!(t.node_connection_bw(5e9), 5e9);
-        assert_eq!(t.share_weight(), 16.0);
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //!   a shared resource, e.g. a single TCP stream that cannot exceed
 //!   ~1 GB/s regardless of how idle the 2×100 Gb gateway link is.
 //!
-//! Weighted sharing is supported: a flow with weight `w` receives `w`
-//! shares at every bottleneck, which models nconnect-style transports
-//! that open multiple streams per client.
-//!
 //! # Equivalence-class aggregation
 //!
 //! A [`ResourceSpec`] may declare `instances = m`: one registered
@@ -31,13 +27,13 @@
 //! node-local mounts of `m` interchangeable client nodes), each with
 //! the *per-instance* capacity. A flow group crossing such a resource
 //! is assumed to spread evenly over the instances, so it contributes
-//! `weight * multiplicity / instances` shares to the one registered
-//! resource — exactly what each individual instance would see. Because
-//! IEEE-754 division is exact when the quotient is representable
-//! (`(m * k) / m == k` for the integer ranges used here, and `x / 1.0
-//! == x` always), an aggregated network produces **bit-identical**
-//! per-member rates to the fully expanded one; the differential suite
-//! in `tests/` pins this.
+//! `multiplicity / instances` shares to the one registered resource —
+//! exactly what each individual instance would see. Because IEEE-754
+//! division is exact when the quotient is representable (`(m * k) / m
+//! == k` for the integer ranges used here, and `x / 1.0 == x` always),
+//! an aggregated network produces **bit-identical** per-member rates to
+//! the fully expanded one; the differential suite in `tests/` pins
+//! this.
 //!
 //! # Incremental solving
 //!
@@ -218,8 +214,8 @@ pub struct ResourceSpec {
     pub capacity: f64,
     /// Identical parallel instances this one registered resource stands
     /// for (≥ 1). Flows crossing it are assumed to spread evenly, so
-    /// each contributes `weight * multiplicity / instances` shares —
-    /// the per-instance load. Default 1 (a plain resource).
+    /// each contributes `multiplicity / instances` shares — the
+    /// per-instance load. Default 1 (a plain resource).
     pub instances: u32,
 }
 
@@ -253,19 +249,6 @@ impl ResourceSpec {
     }
 }
 
-/// Optional operation identity carried by a flow and echoed on its
-/// [`Completion`]: which operation class issued it and which size
-/// bucket it belongs to. Purely descriptive — the engine never reads
-/// it back, so tagging a flow cannot change any simulated value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpIdentity {
-    /// Caller-defined operation class index (e.g. read vs. write, or a
-    /// workload-class ordinal).
-    pub class: u32,
-    /// Caller-defined size-bucket index (e.g. a transfer-size rank).
-    pub size_bucket: u32,
-}
-
 /// Static description of a flow (or group of identical flows).
 #[derive(Clone, Debug)]
 pub struct FlowSpec {
@@ -279,19 +262,14 @@ pub struct FlowSpec {
     /// Optional per-member rate ceiling in bytes/s (e.g. a single TCP
     /// stream limit).
     pub rate_cap: Option<f64>,
-    /// Fair-share weight per member (default 1.0). A weight of 16 models
-    /// a client with 16 parallel streams (nconnect=16).
-    pub weight: f64,
     /// Opaque caller tag returned in completion reports.
     pub tag: u64,
     /// How many expanded flow *groups* this spec stands for (≥ 1,
     /// default 1). An equivalence-class planner collapsing `g` identical
     /// per-node groups into one aggregate spec sets `represents = g` so
-    /// counters ([`FlowNet::flows_started`], telemetry flow-group
-    /// tallies) keep reporting expanded-equivalent values.
+    /// the observers' flow-group tallies (the flow log's, provenance's)
+    /// keep reporting expanded-equivalent values.
     pub represents: u32,
-    /// Optional operation identity echoed on the completion.
-    pub op: Option<OpIdentity>,
     /// When the operation was *submitted*, as opposed to when it was
     /// admitted into the network ([`FlowNet::add_flow`] time). `None`
     /// means "submitted at admission". The completion's latency is
@@ -301,17 +279,15 @@ pub struct FlowSpec {
 }
 
 impl FlowSpec {
-    /// A unit-weight, single-member flow over `path`.
+    /// A single-member flow over `path`.
     pub fn new(path: Vec<ResourceId>, bytes: f64) -> Self {
         FlowSpec {
             path,
             bytes,
             multiplicity: 1,
             rate_cap: None,
-            weight: 1.0,
             tag: 0,
             represents: 1,
-            op: None,
             submitted_at: None,
         }
     }
@@ -335,21 +311,9 @@ impl FlowSpec {
         self
     }
 
-    /// Sets the per-member fair-share weight.
-    pub fn with_weight(mut self, w: f64) -> Self {
-        self.weight = w;
-        self
-    }
-
     /// Sets the caller tag.
     pub fn with_tag(mut self, tag: u64) -> Self {
         self.tag = tag;
-        self
-    }
-
-    /// Attaches an operation identity (echoed on the completion).
-    pub fn with_op(mut self, class: u32, size_bucket: u32) -> Self {
-        self.op = Some(OpIdentity { class, size_bucket });
         self
     }
 
@@ -378,9 +342,7 @@ struct Flow {
     remaining: f64,
     multiplicity: u32,
     rate_cap: Option<f64>,
-    weight: f64,
     tag: u64,
-    op: Option<OpIdentity>,
     submitted_at: f64,
     /// Current per-member rate, valid when `rates_valid`.
     rate: f64,
@@ -398,14 +360,10 @@ pub struct Completion {
     pub tag: u64,
     /// Completion time in seconds.
     pub at: f64,
-    /// When the operation was submitted ([`FlowSpec::submitted_at`],
-    /// defaulting to the admission instant).
-    pub submitted_at: f64,
-    /// Submit-to-finish latency in seconds (`at - submitted_at`) —
+    /// Submit-to-finish latency in seconds: `at` minus the submit
+    /// instant ([`FlowSpec::submitted_at`], defaulting to admission) —
     /// queueing included when admission was deferred.
     pub latency: f64,
-    /// Operation identity from the [`FlowSpec`], if any.
-    pub op: Option<OpIdentity>,
 }
 
 /// A [`FlowNet::drive`] client: it hears every completion and may keep
@@ -439,9 +397,6 @@ pub struct FlowNet {
     /// Active flows in ascending key order (see the module docs).
     flows: Vec<Flow>,
     next_flow: u64,
-    /// Expanded-equivalent flow groups started (Σ `represents`), the
-    /// value [`FlowNet::flows_started`] reports.
-    started: u64,
     now: f64,
     rates_valid: bool,
     completed: Vec<Completion>,
@@ -474,7 +429,6 @@ impl FlowNet {
             resources: Vec::new(),
             flows: Vec::new(),
             next_flow: 0,
-            started: 0,
             now: 0.0,
             rates_valid: true,
             completed: Vec::new(),
@@ -494,14 +448,6 @@ impl FlowNet {
     /// because the flow set or capacities changed.
     pub fn rate_epochs(&self) -> u64 {
         self.rate_epochs
-    }
-
-    /// Flow groups placed into the network so far (completed groups
-    /// included), in *expanded-equivalent* terms: an aggregate spec
-    /// with `represents = g` counts as `g` groups, so the value is
-    /// invariant under equivalence-class aggregation.
-    pub fn flows_started(&self) -> u64 {
-        self.started
     }
 
     /// Starts (or restarts) the flow log ([`FlowLog`]): resource
@@ -613,15 +559,11 @@ impl FlowNet {
     /// current instant.
     ///
     /// # Panics
-    /// Panics if the spec references an unknown resource, has
-    /// non-positive size/weight, or zero multiplicity.
+    /// Panics if the spec references an unknown resource, has a
+    /// non-positive size, or zero multiplicity.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(spec.bytes > 0.0, "flow size must be positive");
         assert!(spec.multiplicity >= 1, "multiplicity must be >= 1");
-        assert!(
-            spec.weight > 0.0 && spec.weight.is_finite(),
-            "weight must be positive and finite"
-        );
         for r in &spec.path {
             assert!(
                 r.index() < self.resources.len(),
@@ -640,7 +582,6 @@ impl FlowNet {
         );
         let key = self.next_flow;
         self.next_flow += 1;
-        self.started += spec.represents as u64;
         self.observers.flow_started(self.now, FlowId(key), &spec);
         let mut path = Vec::with_capacity(spec.path.len());
         for r in &spec.path {
@@ -656,9 +597,7 @@ impl FlowNet {
             remaining: spec.bytes,
             multiplicity: spec.multiplicity,
             rate_cap: spec.rate_cap,
-            weight: spec.weight,
             tag: spec.tag,
-            op: spec.op,
             submitted_at,
             rate: 0.0,
             fresh: true,
@@ -780,9 +719,7 @@ impl FlowNet {
                 id: FlowId(f.key),
                 tag: f.tag,
                 at: now,
-                submitted_at: f.submitted_at,
                 latency: now - f.submitted_at,
-                op: f.op,
             });
             false
         });
@@ -967,7 +904,7 @@ impl FlowNet {
         self.observers.epoch(self.now, &self.flows, &self.resources);
     }
 
-    /// Weighted max-min fair allocation, solved incrementally.
+    /// Max-min fair allocation, solved incrementally.
     ///
     /// The constraint graph decomposes into connected components (flows
     /// joined by shared resources); each component's allocation is
@@ -1059,7 +996,8 @@ const NO_COMPONENT: u32 = u32::MAX;
 struct SolveScratch {
     /// Capacity consumed by frozen flows, per resource (per instance).
     frozen_alloc: Vec<f64>,
-    weight_on: Vec<f64>,
+    /// Shares the unfrozen flows load onto each resource this round.
+    shares_on: Vec<f64>,
     /// The fill level at which the resource saturates this round;
     /// infinite when no unfrozen flow crosses it.
     fill_at: Vec<f64>,
@@ -1093,7 +1031,7 @@ impl SolveScratch {
     fn components(&mut self, flows: &[Flow], n_res: usize, dirty: Option<&mut [bool]>) -> usize {
         let solve_all = dirty.is_none();
         self.frozen_alloc.resize(n_res, 0.0);
-        self.weight_on.resize(n_res, 0.0);
+        self.shares_on.resize(n_res, 0.0);
         self.fill_at.resize(n_res, 0.0);
         self.out.clear();
         self.parent.clear();
@@ -1184,7 +1122,7 @@ impl SolveScratch {
     fn fill(&mut self, c: usize, flows: &[Flow], resources: &[ResourceSpec]) {
         let SolveScratch {
             frozen_alloc,
-            weight_on,
+            shares_on,
             fill_at,
             comp_flows,
             comp_res,
@@ -1200,16 +1138,15 @@ impl SolveScratch {
         unfrozen.clear();
         unfrozen.extend_from_slice(&comp_flows[c]);
         while !unfrozen.is_empty() {
-            // Recompute active weights exactly each round (incremental
+            // Recompute active shares exactly each round (incremental
             // subtraction leaves floating-point residue that can make a
             // fully-frozen resource look contended and stall the loop).
             for &r in comp_res {
-                weight_on[r as usize] = 0.0;
+                shares_on[r as usize] = 0.0;
             }
             for &s in unfrozen.iter() {
-                let f = &flows[s as usize];
-                for h in &f.path {
-                    weight_on[h.res] += f.weight * h.share;
+                for h in &flows[s as usize].path {
+                    shares_on[h.res] += h.share;
                 }
             }
             // Candidate fill level from resources.
@@ -1217,8 +1154,8 @@ impl SolveScratch {
             for &r in comp_res {
                 let ri = r as usize;
                 let cap_rem = (resources[ri].capacity - frozen_alloc[ri]).max(0.0);
-                fill_at[ri] = if weight_on[ri] > 0.0 {
-                    cap_rem.max(0.0) / weight_on[ri]
+                fill_at[ri] = if shares_on[ri] > 0.0 {
+                    cap_rem.max(0.0) / shares_on[ri]
                 } else {
                     f64::INFINITY
                 };
@@ -1226,9 +1163,8 @@ impl SolveScratch {
             }
             // Candidate fill level from per-flow caps.
             for &s in unfrozen.iter() {
-                let f = &flows[s as usize];
-                if let Some(cap) = f.rate_cap {
-                    level = level.min(cap / f.weight);
+                if let Some(cap) = flows[s as usize].rate_cap {
+                    level = level.min(cap);
                 }
             }
             if !level.is_finite() {
@@ -1238,16 +1174,16 @@ impl SolveScratch {
             }
 
             // Freeze: cap-limited flows at their cap; flows through a
-            // saturated bottleneck at weight * level.
+            // saturated bottleneck at the level.
             let tol = level.abs() * 1e-12 + 1e-30;
             still.clear();
             let mut froze_any = false;
             for &s in unfrozen.iter() {
                 let f = &flows[s as usize];
-                let cap_level = f.rate_cap.map(|c| c / f.weight).unwrap_or(f64::INFINITY);
+                let cap_level = f.rate_cap.unwrap_or(f64::INFINITY);
                 let on_bottleneck = f.path.iter().any(|h| fill_at[h.res] <= level + tol);
                 if cap_level <= level + tol || on_bottleneck {
-                    let rate = f.weight * level.min(cap_level);
+                    let rate = level.min(cap_level);
                     out.push((s, rate));
                     for h in &f.path {
                         frozen_alloc[h.res] += rate * h.share;
@@ -1260,7 +1196,7 @@ impl SolveScratch {
             debug_assert!(froze_any, "progressive filling made no progress");
             if !froze_any {
                 // Defensive: freeze everything at the current level.
-                out.extend(still.iter().map(|&s| (s, flows[s as usize].weight * level)));
+                out.extend(still.iter().map(|&s| (s, level)));
                 break;
             }
             std::mem::swap(unfrozen, still);
@@ -1308,11 +1244,12 @@ mod tests {
     #[test]
     fn rate_epoch_and_flow_counters_track_the_solver() {
         let (mut net, r) = net_with(&[100.0]);
-        assert_eq!((net.rate_epochs(), net.flows_started()), (0, 0));
+        assert_eq!((net.rate_epochs(), net.active_flow_count()), (0, 0));
         net.add_flow(FlowSpec::new(vec![r[0]], 1000.0));
         net.add_flow(FlowSpec::new(vec![r[0]], 500.0));
+        assert_eq!(net.active_flow_count(), 2);
         net.run_to_completion(|_, _| {});
-        assert_eq!(net.flows_started(), 2);
+        assert_eq!(net.active_flow_count(), 0);
         // Epoch 1: both flows at 50 B/s until the short one finishes at
         // t=10; epoch 2: the long one alone. Queries between
         // invalidations reuse the cached rates, so exactly two solves.
@@ -1362,15 +1299,6 @@ mod tests {
         let b = net.add_flow(FlowSpec::new(vec![r[0]], 1e6));
         assert_eq!(net.flow_rate(a), Some(10.0));
         assert_eq!(net.flow_rate(b), Some(990.0));
-    }
-
-    #[test]
-    fn weights_bias_shares() {
-        let (mut net, r) = net_with(&[100.0]);
-        let a = net.add_flow(FlowSpec::new(vec![r[0]], 1e6).with_weight(3.0));
-        let b = net.add_flow(FlowSpec::new(vec![r[0]], 1e6));
-        assert!((net.flow_rate(a).unwrap() - 75.0).abs() < 1e-9);
-        assert!((net.flow_rate(b).unwrap() - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1681,9 +1609,6 @@ mod tests {
         let te = e.run_to_completion(|_, _| {});
         let ta = a.run_to_completion(|_, _| {});
         assert_eq!(te.to_bits(), ta.to_bits());
-        // Counters report expanded-equivalent values either way.
-        assert_eq!(e.flows_started(), 3);
-        assert_eq!(a.flows_started(), 3);
     }
 
     #[test]
@@ -1800,26 +1725,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_echoes_op_identity() {
-        let (mut net, r) = net_with(&[100.0]);
-        let arrivals = vec![(0.0, FlowSpec::new(vec![r[0]], 100.0).with_op(3, 7))];
-        let mut ops = Vec::new();
-        net.drive(
-            arrivals,
-            &FaultTimeline::empty(),
-            |_: &mut FlowNet, c: Completion| ops.push(c.op),
-        )
-        .unwrap();
-        assert_eq!(
-            ops,
-            vec![Some(OpIdentity {
-                class: 3,
-                size_bucket: 7
-            })]
-        );
-    }
-
-    #[test]
     fn open_loop_trailing_events_are_not_applied() {
         use crate::faults::CapacityEvent;
         let (mut net, r) = net_with(&[100.0]);
@@ -1911,7 +1816,7 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits());
             }
         };
-        let a = net.add_flow(FlowSpec::new(vec![r[0], r[2]], 1e6).with_weight(2.0));
+        let a = net.add_flow(FlowSpec::new(vec![r[0], r[2]], 1e6).with_multiplicity(2));
         check(&mut net);
         let b = net.add_flow(FlowSpec::new(vec![r[1], r[2]], 1e6).with_multiplicity(3));
         net.add_flow(FlowSpec::new(vec![r[3]], 1e6));
@@ -1933,7 +1838,7 @@ mod tests {
         // Two disjoint components; churn in one must reproduce the
         // other's rates exactly (they are never re-solved).
         let (mut net, r) = net_with(&[100.0, 70.0]);
-        let quiet = net.add_flow(FlowSpec::new(vec![r[1]], 1e6).with_weight(0.3));
+        let quiet = net.add_flow(FlowSpec::new(vec![r[1]], 1e6).with_multiplicity(3));
         let before = net.flow_rate(quiet).unwrap();
         for i in 0..5 {
             let f = net.add_flow(FlowSpec::new(vec![r[0]], 1e3 * (i + 1) as f64));
@@ -1950,7 +1855,7 @@ mod tests {
     fn conservation_at_every_resource() {
         // Random-ish topology, checked exactly.
         let (mut net, r) = net_with(&[123.0, 77.0, 500.0, 9.0]);
-        net.add_flow(FlowSpec::new(vec![r[0], r[2]], 1e6).with_weight(2.0));
+        net.add_flow(FlowSpec::new(vec![r[0], r[2]], 1e6).with_multiplicity(2));
         net.add_flow(FlowSpec::new(vec![r[1], r[2]], 1e6).with_multiplicity(3));
         net.add_flow(FlowSpec::new(vec![r[3]], 1e6));
         net.add_flow(FlowSpec::new(vec![r[0], r[1], r[2]], 1e6).with_rate_cap(5.0));

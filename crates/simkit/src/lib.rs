@@ -24,9 +24,10 @@
 //! [`FlowNet::record_flows`] and [`FlowNet::record_provenance`] start
 //! them, the matching `take_*` call returns the log by value; both are
 //! pure listeners, fed once per rate epoch), [`rng`]
-//! (seeded, label-splittable random streams), [`stats`] (online summary
-//! statistics), [`intervals`] (interval-set algebra used for I/O overlap
-//! analysis), and [`units`] (byte/bandwidth unit helpers).
+//! (seeded, label-splittable random streams), [`stats`] (summary
+//! statistics and percentiles), [`intervals`] (interval-set algebra
+//! used for I/O overlap analysis), and [`units`] (byte/bandwidth unit
+//! helpers).
 //!
 //! Everything in this crate is deterministic: running the same simulation
 //! twice with the same seed produces bit-identical results.
@@ -47,10 +48,8 @@ pub mod units;
 pub use arrivals::{arrival_times, ArrivalDiscipline};
 pub use faults::{CapacityEvent, FaultRunReport, FaultTimeline, StallError};
 pub use flowlog::{AllocSample, FlowLog, FlowRecord};
-pub use flownet::{
-    Completion, DriveHooks, FlowId, FlowNet, FlowSpec, OpIdentity, ResourceId, ResourceSpec,
-};
+pub use flownet::{Completion, DriveHooks, FlowId, FlowNet, FlowSpec, ResourceId, ResourceSpec};
 pub use intervals::IntervalSet;
 pub use provenance::{OpProvenance, ProvenanceLog};
 pub use rng::SimRng;
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;

@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::flownet::{EpochFeed, EpochFlowSample, FlowId, FlowSpec, OpIdentity};
+use crate::flownet::{EpochFeed, EpochFlowSample, FlowId, FlowSpec};
 
 /// Relative slack below which a flow's achieved rate counts as equal to
 /// its standalone demand. Achieved and demand are computed by different
@@ -63,8 +63,6 @@ pub struct OpProvenance {
     pub id: FlowId,
     /// Caller tag from the [`FlowSpec`].
     pub tag: u64,
-    /// Operation identity from the [`FlowSpec`], if any.
-    pub op: Option<OpIdentity>,
     /// Expanded flow groups this op stands for (spec `represents`).
     /// Aggregating layers weight by this so blame totals are invariant
     /// under equivalence-class aggregation.
@@ -119,7 +117,6 @@ pub struct ProvenanceLog {
 #[derive(Clone, Debug)]
 struct Pending {
     tag: u64,
-    op: Option<OpIdentity>,
     groups: u32,
     submitted_at: f64,
     admitted_at: f64,
@@ -193,7 +190,6 @@ impl Probe {
             id.raw(),
             Pending {
                 tag: spec.tag,
-                op: spec.op,
                 groups: spec.represents,
                 submitted_at: spec.submitted_at.unwrap_or(now),
                 admitted_at: now,
@@ -229,7 +225,6 @@ impl Probe {
         let op = OpProvenance {
             id,
             tag: p.tag,
-            op: p.op,
             groups: p.groups,
             submitted_at: p.submitted_at,
             admitted_at: p.admitted_at,

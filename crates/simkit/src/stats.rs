@@ -1,112 +1,11 @@
-//! Online and batch summary statistics.
+//! Batch summary statistics.
 //!
 //! Experiments repeat every measurement (the paper repeats each test 10
-//! times on shared machines); these helpers summarize repetition sets
-//! without storing more than needed. [`OnlineStats`] is a Welford
-//! accumulator; [`Summary`] is a batch summary with percentiles.
+//! times on shared machines); [`Summary`] summarizes a repetition set
+//! with its moments and percentiles, and [`percentile`] is the one
+//! percentile kernel of the suite.
 
 use serde::{Deserialize, Serialize};
-
-/// Welford single-pass accumulator for mean/variance plus min/max.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN-free input assumed; +inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Coefficient of variation (std/mean; 0 when mean is 0).
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m.abs()
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Batch summary of a sample: mean, std, min/max, median and p95.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -133,18 +32,27 @@ impl Summary {
         if sample.is_empty() {
             return None;
         }
-        let mut s = OnlineStats::new();
+        // One Welford pass: running mean and sum of squared deviations,
+        // plus min/max.
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, &x) in sample.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
+        }
+        let count = sample.len();
+        let variance = if count < 2 { 0.0 } else { m2 / count as f64 };
         let mut sorted = sample.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        for &x in sample {
-            s.push(x);
-        }
         Some(Summary {
-            count: sample.len(),
-            mean: s.mean(),
-            std_dev: s.std_dev(),
-            min: s.min(),
-            max: s.max(),
+            count,
+            mean,
+            std_dev: variance.sqrt(),
+            min,
+            max,
             median: percentile_sorted(&sorted, 50.0),
             p95: percentile_sorted(&sorted, 95.0),
         })
@@ -190,45 +98,14 @@ mod tests {
 
     #[test]
     fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for x in xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_sane() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-10);
-        assert!((left.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(left.count(), whole.count());
+        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
+        assert_eq!(s.count, 8);
+        assert!((s.mean - 5.0).abs() < 1e-12);
+        assert!((s.std_dev - 2.0).abs() < 1e-12);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
+        let one = Summary::of(&[3.0]).unwrap();
+        assert_eq!((one.mean, one.std_dev), (3.0, 0.0));
     }
 
     #[test]

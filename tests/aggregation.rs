@@ -4,9 +4,9 @@
 //! The planner contract: below [`AGGREGATE_NODE_THRESHOLD`] nodes
 //! nothing changes (the golden parity fixtures pin that bit-for-bit);
 //! when aggregation kicks in, a run over N interchangeable nodes
-//! compiles to one weighted flow per *class* over aggregate resources —
-//! and for the symmetric shapes the runner produces (weight 1.0,
-//! uniform per-stage capacities, balanced classes), the outcome is
+//! compiles to one flow group per *class* over aggregate resources —
+//! and for the symmetric shapes the runner produces (uniform per-stage
+//! capacities, balanced classes), the outcome is
 //! IEEE-754 bit-identical to the expanded plan. The proptest suites
 //! below drive random graphs × node counts × capacities through both
 //! plans and assert exact bit equality; the incremental-solver suite
@@ -191,7 +191,7 @@ fn million_clients_plan_and_run() {
 proptest! {
     /// Aggregated vs expanded, fault-free: random balanced shapes
     /// (nodes a multiple of the shard count, uniform per-stage
-    /// capacities — exactly the symmetry the runner's weight-1.0 flows
+    /// capacities — exactly the symmetry the runner's flows
     /// guarantee), bit-identical completion.
     #[test]
     fn aggregated_matches_expanded_bitwise(
@@ -257,7 +257,7 @@ proptest! {
         }
     }
 
-    /// Incremental vs scratch: arbitrary graphs and weights (no
+    /// Incremental vs scratch: arbitrary graphs and multiplicities (no
     /// symmetry needed — both solvers share the inner arithmetic), the
     /// incremental solver's allocations match the full progressive-filling
     /// re-solve after every mutation. Path-less flows (each its own
@@ -270,7 +270,6 @@ proptest! {
             (
                 prop::collection::vec(0usize..4, 0..4),
                 1.0e3..1.0e8f64,
-                0.1..8.0f64,
                 1u32..5,
                 prop::option::of(1.0e5..1.0e9f64),
             ),
@@ -300,11 +299,9 @@ proptest! {
             Ok(())
         };
         let mut keys = Vec::new();
-        for (path, bytes, weight, mult, rate_cap) in &flows {
+        for (path, bytes, mult, rate_cap) in &flows {
             let path: Vec<_> = path.iter().map(|&i| ids[i % ids.len()]).collect();
-            let mut spec = FlowSpec::new(path, *bytes)
-                .with_weight(*weight)
-                .with_multiplicity(*mult);
+            let mut spec = FlowSpec::new(path, *bytes).with_multiplicity(*mult);
             if let Some(cap) = rate_cap {
                 spec = spec.with_rate_cap(*cap);
             }

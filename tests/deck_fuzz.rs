@@ -5,10 +5,10 @@
 //! deck file in `examples/scenarios/` but the datacenter deck and the
 //! chaos campaign, each smoked the way `hcs run --smoke` smokes it and
 //! with its open-loop window cut to [`OPEN_LOOP_WINDOW`]. A case takes
-//! one deck's JSON and changes one thing: a numeric leaf becomes 0, −1,
-//! half or double its value, or one array element is dropped. Values
-//! stay within 2× of the shipped ones, so node counts stay where the
-//! planner is quick.
+//! one deck's JSON and changes one thing: a numeric leaf (integer or
+//! not) becomes 0, −1, half or double its value, or one array element
+//! is dropped. Values stay within 2× of the shipped ones, so node
+//! counts stay where the planner is quick.
 //!
 //! Every mutant must either fail to parse, or make `validate_deck`
 //! return a one-line `Err`, or run: each expanded point that is not a
@@ -69,7 +69,7 @@ type Path = Vec<usize>;
 /// Collects the paths of every numeric leaf and every non-empty array.
 fn sites(v: &Value, path: &mut Path, numbers: &mut Vec<Path>, arrays: &mut Vec<Path>) {
     match v {
-        Value::Num(_) => numbers.push(path.clone()),
+        Value::Num(_) | Value::Int(_) => numbers.push(path.clone()),
         Value::Seq(items) => {
             if !items.is_empty() {
                 arrays.push(path.clone());
@@ -107,12 +107,15 @@ fn mutate(deck: &Deck, rng: &mut SimRng) -> (Value, String) {
     sites(&v, &mut Vec::new(), &mut numbers, &mut arrays);
     let pick = rng.below((numbers.len() + arrays.len()) as u64) as usize;
     if pick < numbers.len() {
-        let Value::Num(n) = at(&mut v, &numbers[pick]) else {
-            unreachable!("a numeric site");
+        let n = at(&mut v, &numbers[pick]);
+        let old = match *n {
+            Value::Num(x) => x,
+            Value::Int(i) => i as f64,
+            _ => unreachable!("a numeric site"),
         };
-        let old = *n;
-        *n = [0.0, -1.0, old / 2.0, old * 2.0][rng.below(4) as usize];
-        let desc = format!("number at {:?}: {old} -> {n}", numbers[pick]);
+        let new = [0.0, -1.0, old / 2.0, old * 2.0][rng.below(4) as usize];
+        *n = Value::Num(new);
+        let desc = format!("number at {:?}: {old} -> {new}", numbers[pick]);
         (v, desc)
     } else {
         let path = &arrays[pick - numbers.len()];

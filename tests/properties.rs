@@ -11,11 +11,11 @@ use hcs_simkit::{FlowNet, FlowSpec, IntervalSet, ResourceSpec};
 // Flow engine invariants
 // ---------------------------------------------------------------------
 
-/// One generated flow: path indices, bytes, weight, multiplicity, cap.
-type GenFlow = (Vec<usize>, f64, f64, u32, Option<f64>);
+/// One generated flow: path indices, bytes, multiplicity, cap.
+type GenFlow = (Vec<usize>, f64, u32, Option<f64>);
 
 /// Arbitrary small topology: resource capacities plus flows with random
-/// paths, sizes, weights, caps and multiplicities.
+/// paths, sizes, caps and multiplicities.
 fn flow_world() -> impl Strategy<Value = (Vec<f64>, Vec<GenFlow>)> {
     let caps = prop::collection::vec(1.0e6..1.0e9f64, 1..6);
     caps.prop_flat_map(|caps| {
@@ -23,7 +23,6 @@ fn flow_world() -> impl Strategy<Value = (Vec<f64>, Vec<GenFlow>)> {
         let flow = (
             prop::collection::vec(0..n, 1..=n.min(4)),
             1.0e3..1.0e8f64,                   // bytes
-            0.1..8.0f64,                       // weight
             1u32..5,                           // multiplicity
             prop::option::of(1.0e5..1.0e9f64), // rate cap
         );
@@ -45,12 +44,10 @@ proptest! {
             .map(|(i, &c)| net.add_resource(ResourceSpec::new(format!("r{i}"), c)))
             .collect();
         let mut flow_ids = Vec::new();
-        for (path, bytes, weight, mult, cap) in &flows {
+        for (path, bytes, mult, cap) in &flows {
             let mut dedup: Vec<_> = path.iter().map(|&i| ids[i]).collect();
             dedup.dedup();
-            let mut spec = FlowSpec::new(dedup, *bytes)
-                .with_weight(*weight)
-                .with_multiplicity(*mult);
+            let mut spec = FlowSpec::new(dedup, *bytes).with_multiplicity(*mult);
             if let Some(c) = cap {
                 spec = spec.with_rate_cap(*c);
             }
