@@ -19,11 +19,12 @@
 
 use hcs_core::scenario::Scale;
 use hcs_core::telemetry::Recorder;
-use hcs_core::{Deck, Scenario, StorageSystem, Workload};
-use hcs_dlio::{cosmoflow, resnet50, run_dlio, run_dlio_traced};
-use hcs_experiments::{registry, Figure, Meter};
-use hcs_ior::{run_ior_with, IorConfig, IorRun, WorkloadClass};
-use hcs_mdtest::{run_mdtest, MdtestConfig, MetaOp};
+use hcs_core::{Deck, Scenario, Workload};
+use hcs_dlio::{cosmoflow, resnet50};
+use hcs_experiments::registry::{self, SystemEntry};
+use hcs_experiments::{run_scenario, Figure, Meter};
+use hcs_ior::{IorConfig, WorkloadClass};
+use hcs_mdtest::{MdtestConfig, MetaOp};
 use hcs_replay::{replay, ReplayConfig};
 
 const USAGE: &str = "\
@@ -78,19 +79,14 @@ options:
                    max_outage_seconds, min_degrade_factor,
                    horizon_seconds, kinds (e.g. kinds=outage+degrade)";
 
-/// Resolves a system name via the shared registry to a deployment and
-/// its machine's full-node process count.
-fn system(name: &str) -> Option<(Box<dyn StorageSystem>, u32)> {
-    registry::resolve(name).map(|e| (e.build(), e.full_ppn))
-}
-
-/// Resolves a positional system argument or dies listing every valid
-/// registry key, so a typo never leaves the user guessing at names.
-fn resolve_system(cmd: &str, name: Option<&String>) -> (Box<dyn StorageSystem>, u32) {
+/// Resolves a positional system argument through the shared registry
+/// or dies listing every valid key, so a typo never leaves the user
+/// guessing at names.
+fn resolve_system(cmd: &str, name: Option<&String>) -> &'static SystemEntry {
     let known = registry::names().join(", ");
     match name {
         None => die(&format!("{cmd}: missing system (known: {known})")),
-        Some(n) => system(n)
+        Some(n) => registry::resolve(n)
             .unwrap_or_else(|| die(&format!("{cmd}: unknown system '{n}' (known: {known})"))),
     }
 }
@@ -109,14 +105,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Checks a per-family command's run the way `hcs run` checks a deck
-/// point ([`Scenario::check`], which resolves no system name), dying
-/// with its diagnostic when an argument makes the run invalid.
-fn check_run(cmd: &str, workload: Workload, nodes: u32, full_ppn: u32) {
-    let scenario = Scenario::new(String::new(), workload).with_nodes(nodes);
-    if let Err(e) = scenario.check(full_ppn) {
+/// The one-point deck a per-family command's arguments describe,
+/// checked the way `hcs run` checks a deck point ([`Scenario::check`]):
+/// an argument that makes the point invalid dies with its diagnostic.
+fn one_point(cmd: &str, system: &SystemEntry, workload: Workload, nodes: u32) -> Scenario {
+    let point = Scenario::new(system.key, workload).with_nodes(nodes);
+    if let Err(e) = point.check(system.full_ppn) {
         die(&format!("{cmd}: {e}"));
     }
+    point
 }
 
 /// Splits `--trace <path>` out of the arg list, returning the
@@ -154,6 +151,12 @@ fn provenance_flag(args: &[String]) -> (Vec<String>, bool) {
         .collect();
     let provenance = rest.len() != args.len();
     (rest, provenance)
+}
+
+/// The positional argument at `i` as a number, or `default` when it is
+/// absent or not a number.
+fn num_arg(args: &[String], i: usize, default: u32) -> u32 {
+    args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
 /// Splits `--format <md|json>` out of the arg list.
@@ -210,8 +213,9 @@ fn read_json(cmd: &str, path: &str, what: &str) -> (String, serde_json::Value) {
 }
 
 /// The deck a deck file's value holds: a `Deck`, or a bare `Scenario`
-/// wrapped as a single-point deck.
-fn deck_of(cmd: &str, target: &str, value: serde_json::Value) -> Deck {
+/// wrapped as a single-point deck. `tried` names the shapes `cmd`
+/// already ruled out, with their errors, for the diagnostic.
+fn deck_of(cmd: &str, target: &str, value: serde_json::Value, tried: &str) -> Deck {
     match serde_json::from_value::<Deck>(value.clone()) {
         Ok(deck) => deck,
         Err(deck_err) => match serde_json::from_value::<Scenario>(value) {
@@ -224,7 +228,8 @@ fn deck_of(cmd: &str, target: &str, value: serde_json::Value) -> Deck {
                 Deck::single(name, sc)
             }
             Err(sc_err) => die(&format!(
-                "{cmd}: {target} parses as neither a deck ({deck_err}) nor a scenario ({sc_err})"
+                "{cmd}: {target} parses as neither {tried}a deck ({deck_err}) nor a scenario \
+                 ({sc_err})"
             )),
         },
     }
@@ -233,10 +238,10 @@ fn deck_of(cmd: &str, target: &str, value: serde_json::Value) -> Deck {
 /// Loads a deck: a JSON file holding a `Deck`, a JSON file holding a
 /// bare `Scenario` (wrapped as a single-point deck), or the name of a
 /// builtin deck from the catalog.
-fn load_deck(target: &str, scale: Scale) -> Deck {
+fn load_deck(cmd: &str, target: &str, scale: Scale) -> Deck {
     if std::path::Path::new(target).exists() {
-        let (_, value) = read_json("run", target, "parses as neither a deck nor a scenario");
-        deck_of("run", target, value)
+        let (_, value) = read_json(cmd, target, "parses as neither a deck nor a scenario");
+        deck_of(cmd, target, value, "")
     } else {
         let decks = hcs_experiments::figures::all_decks(scale);
         match decks.iter().find(|d| d.name == target) {
@@ -244,7 +249,7 @@ fn load_deck(target: &str, scale: Scale) -> Deck {
             None => {
                 let names: Vec<&str> = decks.iter().map(|d| d.name.as_str()).collect();
                 die(&format!(
-                    "run: '{target}' is neither a file nor a builtin deck; builtins: {}",
+                    "{cmd}: '{target}' is neither a file nor a builtin deck; builtins: {}",
                     names.join(" ")
                 ))
             }
@@ -259,12 +264,12 @@ fn load_campaign(target: &str, scale: Scale) -> hcs_core::ChaosCampaign {
     let deck = if std::path::Path::new(target).exists() {
         let what = "parses as neither a campaign, a deck nor a scenario";
         let (_, value) = read_json("chaos", target, what);
-        if let Ok(campaign) = serde_json::from_value(value.clone()) {
-            return campaign;
+        match serde_json::from_value(value.clone()) {
+            Ok(campaign) => return campaign,
+            Err(e) => deck_of("chaos", target, value, &format!("a campaign ({e}), ")),
         }
-        deck_of("chaos", target, value)
     } else {
-        load_deck(target, scale)
+        load_deck("chaos", target, scale)
     };
     hcs_core::ChaosCampaign::new(format!("chaos-{}", deck.name), deck)
 }
@@ -372,60 +377,52 @@ fn main() {
         "table1" => print!("{}", hcs_experiments::figures::table1::render()),
         "fig1" => print!("{}", hcs_experiments::figures::fig1::render()),
         "ior" => {
-            let (sys, full_ppn) = resolve_system("ior", args.get(1));
+            let system = resolve_system("ior", args.get(1));
             let w = args
                 .get(2)
                 .and_then(|s| workload(s))
                 .unwrap_or_else(|| die("ior: unknown workload"));
-            let nodes: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let ppn: u32 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(full_ppn);
+            let (nodes, ppn) = (num_arg(&args, 3, 1), num_arg(&args, 4, system.full_ppn));
             let cfg = match scale {
                 Scale::Smoke | Scale::Datacenter => IorConfig::smoke(w, nodes, ppn),
                 Scale::Paper => IorConfig::paper_scalability(w, nodes, ppn),
             };
-            check_run("ior", Workload::Ior(cfg.clone()), nodes, full_ppn);
+            let point = one_point("ior", system, Workload::Ior(cfg), nodes);
             let mut recorder = Recorder::new();
-            let run = IorRun {
-                recorder: trace.is_some().then_some(&mut recorder),
-                ..IorRun::default()
-            };
-            let rep = run_ior_with(sys.as_ref(), &cfg, run)
-                .unwrap_or_else(|e| die(&format!("ior: {e}")))
-                .report;
+            let p = run_scenario(&point, trace.is_some().then_some(&mut recorder), Meter::Off);
+            let rep = p.outcome.ior();
             println!(
                 "{} — {} @ {} nodes x {} ppn:\n  {:.2} GB/s aggregate ({:.2} GB/s per node, ±{:.2} over {} reps)",
                 rep.system,
                 w.label(),
-                nodes,
-                ppn,
+                p.nodes,
+                p.ppn,
                 rep.mean_bandwidth() / 1e9,
                 rep.per_node_bandwidth() / 1e9,
                 rep.outcome.summary.std_dev / 1e9,
-                cfg.reps
+                rep.config.reps
             );
             if let Some(path) = &trace {
                 dump_trace(&recorder, path);
             }
         }
         "dlio" => {
-            let (sys, full_ppn) = resolve_system("dlio", args.get(1));
+            let system = resolve_system("dlio", args.get(1));
             let cfg = match args.get(2).map(String::as_str) {
                 Some("resnet50") | Some("resnet") => resnet50(),
                 Some("cosmoflow") | Some("cosmo") => cosmoflow(),
                 _ => die("dlio: workload must be resnet50 or cosmoflow"),
             };
-            let nodes: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-            check_run("dlio", Workload::Dlio(cfg.clone()), nodes, full_ppn);
+            let nodes = num_arg(&args, 3, 4);
+            let point = one_point("dlio", system, Workload::Dlio(cfg), nodes);
             let mut recorder = Recorder::new();
-            let r = match &trace {
-                Some(_) => run_dlio_traced(sys.as_ref(), &cfg, nodes, &mut recorder),
-                None => run_dlio(sys.as_ref(), &cfg, nodes),
-            };
+            let p = run_scenario(&point, trace.is_some().then_some(&mut recorder), Meter::Off);
+            let r = p.outcome.dlio();
             println!(
                 "{} on {} @ {} nodes:\n  io {:.2}s/node (overlap {:.2}s, stall {:.3}s)  compute {:.2}s\n  app {:.1} samples/s   system {:.1} samples/s",
                 r.workload,
                 r.system,
-                nodes,
+                p.nodes,
                 r.mean_per_node.io_total,
                 r.mean_per_node.overlapping_io,
                 r.mean_per_node.non_overlapping_io,
@@ -438,16 +435,17 @@ fn main() {
             }
         }
         "explain" => {
-            let (sys, full_ppn) = resolve_system("explain", args.get(1));
+            let system = resolve_system("explain", args.get(1));
             let w = args
                 .get(2)
                 .and_then(|s| workload(s))
                 .unwrap_or_else(|| die("explain: unknown workload"));
-            let nodes: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let ppn: u32 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(full_ppn);
+            let (nodes, ppn) = (num_arg(&args, 3, 1), num_arg(&args, 4, system.full_ppn));
             let cfg = IorConfig::paper_scalability(w, nodes, ppn);
-            check_run("explain", Workload::Ior(cfg.clone()), nodes, full_ppn);
-            let out = hcs_core::runner::run_phase(sys.as_ref(), nodes, ppn, &cfg.phase());
+            let phase = cfg.phase();
+            one_point("explain", system, Workload::Ior(cfg), nodes);
+            let sys = system.build();
+            let out = hcs_core::runner::run_phase(sys.as_ref(), nodes, ppn, &phase);
             println!(
                 "{} — {} @ {} nodes x {} ppn: {:.2} GB/s\n",
                 sys.description(),
@@ -481,13 +479,13 @@ fn main() {
             }
         }
         "mdtest" => {
-            let (sys, full_ppn) = resolve_system("mdtest", args.get(1));
-            let nodes: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let ppn: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(full_ppn);
-            let cfg = MdtestConfig::new(nodes, ppn);
-            check_run("mdtest", Workload::Mdtest(cfg.clone()), nodes, full_ppn);
-            let r = run_mdtest(sys.as_ref(), &cfg);
-            println!("{} @ {} nodes x {} ppn:", r.system, nodes, ppn);
+            let system = resolve_system("mdtest", args.get(1));
+            let (nodes, ppn) = (num_arg(&args, 2, 1), num_arg(&args, 3, system.full_ppn));
+            let workload = Workload::Mdtest(MdtestConfig::new(nodes, ppn));
+            let point = one_point("mdtest", system, workload, nodes);
+            let p = run_scenario(&point, None, Meter::Off);
+            let r = p.outcome.mdtest();
+            println!("{} @ {} nodes x {} ppn:", r.system, p.nodes, p.ppn);
             for op in MetaOp::all() {
                 println!("  {:<8} {:>12.0} ops/s", op.label(), r.rate(op).mean);
             }
@@ -496,7 +494,7 @@ fn main() {
             let path = args
                 .get(1)
                 .unwrap_or_else(|| die("replay: missing trace path"));
-            let (sys, _) = resolve_system("replay", args.get(2));
+            let sys = resolve_system("replay", args.get(2)).build();
             let tracer =
                 hcs_replay::load_trace(path).unwrap_or_else(|e| die(&format!("replay: {e}")));
             let r = replay(&tracer, sys.as_ref(), &ReplayConfig::default());
@@ -513,7 +511,7 @@ fn main() {
             let target = args
                 .get(1)
                 .unwrap_or_else(|| die("run: missing scenario file or deck name"));
-            let mut deck = load_deck(target, scale);
+            let mut deck = load_deck("run", target, scale);
             if scale == Scale::Smoke {
                 deck = deck.smoked();
             }

@@ -3,7 +3,8 @@
 //! malformed JSON, an unknown registry key, a fault deck whose target
 //! stage the planned deployment graph does not contain, and a table of
 //! one-bad-value probes over every workload family, graph edit and
-//! per-family command, plus the artifact commands' `results/` writes.
+//! per-family command, plus the artifact commands' `results/` writes
+//! and a per-family command's trace against its one-point deck's.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -252,6 +253,71 @@ fn offered_load_sweep_over_closed_base_exits_2() {
 fn chaos_without_target_exits_2() {
     let out = hcs(&["chaos"]);
     assert_dies_with(&out, "chaos: missing campaign file");
+}
+
+#[test]
+fn chaos_names_the_campaign_error() {
+    // A campaign whose own field is the wrong type names that field,
+    // before the deck and scenario shapes it also fails.
+    let shipped = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/chaos.vast-smoke.json"
+    );
+    let campaign = std::fs::read_to_string(shipped).expect("shipped campaign");
+    let bad = edit(&campaign, r#""population": 25"#, r#""population": "many""#);
+    let path = temp_deck("chaos-population-type", &bad);
+    let out = hcs(&["chaos", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_dies_with(
+        &out,
+        "parses as neither a campaign (population: expected integer u32), a deck (",
+    );
+}
+
+#[test]
+fn one_point_commands_trace_like_a_one_point_deck() {
+    // `hcs ior` runs its arguments as a one-point deck, so its Chrome
+    // trace is byte for byte the trace `hcs run` writes for that deck.
+    let dir = temp_workdir("one-point-trace");
+    let (direct, deck) = (dir.join("ior.trace.json"), dir.join("deck.trace.json"));
+    let args = ["ior", "vast-lassen", "scientific", "1", "4", "--trace"];
+    let out = hcs_in(&dir, &[&args[..], &[direct.to_str().unwrap()]].concat());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let point = r#"{
+  "name": "one-point",
+  "base": {
+    "system": "vast-lassen",
+    "nodes": 1,
+    "workload": {
+      "Ior": {
+        "nodes": 1, "tasks_per_node": 4,
+        "block_size": 1048576.0, "transfer_size": 1048576.0,
+        "segments": 3000, "workload": "Scientific",
+        "fsync": false, "file_per_proc": true, "reorder_tasks": true,
+        "reps": 10, "seed": 276963364
+      }
+    }
+  }
+}"#;
+    let path = dir.join("one-point.json");
+    std::fs::write(&path, point).expect("write deck");
+    let run = [
+        "run",
+        path.to_str().unwrap(),
+        "--scale",
+        "paper",
+        "--trace",
+        deck.to_str().unwrap(),
+    ];
+    let out = hcs_in(&dir, &run);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let (a, b) = (
+        std::fs::read(&direct).unwrap(),
+        std::fs::read(&deck).unwrap(),
+    );
+    assert!(!a.is_empty());
+    assert!(a == b, "the one-point traces differ");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -588,6 +654,21 @@ fn bad_value_probes_exit_2_with_one_line() {
             "IOR requires transferSize <= blockSize",
         ),
         (
+            "ior-block-multiple",
+            ior_with(TS, r#""transfer_size": 1000000"#),
+            "IOR requires blockSize to be a multiple of transferSize (got 1048576 and 1000000)",
+        ),
+        (
+            "ior-segments-type",
+            ior_with(r#""segments": 8"#, r#""segments": "many""#),
+            "a deck (base.workload.Ior.segments: expected integer u32)",
+        ),
+        (
+            "scenario-trace",
+            ior_with(r#""trace": false"#, r#""trace": true"#),
+            "\"trace\": true traces nothing; trace a run with `hcs run --trace <path>`",
+        ),
+        (
             "ior-axis-ts0",
             ior_with(
                 r#""base": {"#,
@@ -728,7 +809,7 @@ fn bad_value_probes_exit_2_with_one_line() {
         std::fs::remove_file(&path).ok();
         assert_dies_with(&out, needle);
     }
-    let commands: [(&[&str], &str); 5] = [
+    let commands: [(&[&str], &str); 6] = [
         (
             &["ior", "vast-lassen", "scientific", "0"],
             "ior: need at least one node",
@@ -745,6 +826,10 @@ fn bad_value_probes_exit_2_with_one_line() {
         (
             &["explain", "gpfs", "scientific", "0"],
             "explain: need at least one node",
+        ),
+        (
+            &["chaos", "no-such-campaign.json"],
+            "chaos: 'no-such-campaign.json' is neither a file nor a builtin deck",
         ),
     ];
     for (args, needle) in commands {

@@ -75,26 +75,11 @@ impl JobScript {
         }
     }
 
-    /// Runs the job against a storage system at the given scale.
-    pub fn run(&self, system: &dyn StorageSystem, nodes: u32, ppn: u32) -> JobOutcome {
-        self.run_impl(system, nodes, ppn, None)
-    }
-
-    /// Runs the job while feeding step-labeled telemetry into
-    /// `recorder`: each I/O step becomes a traced phase (flow and
-    /// resource events under the step's label), each compute step a
-    /// compute span. The outcome is bit-identical to [`Self::run`]'s.
-    pub fn run_traced(
-        &self,
-        system: &dyn StorageSystem,
-        nodes: u32,
-        ppn: u32,
-        recorder: &mut Recorder,
-    ) -> JobOutcome {
-        self.run_impl(system, nodes, ppn, Some(recorder))
-    }
-
-    fn run_impl(
+    /// Runs the job against a storage system at the given scale. With a
+    /// `recorder`, each I/O step becomes a traced phase in it (flow and
+    /// resource events under the step's label) and each compute step a
+    /// compute span; the outcome is bit-identical with or without one.
+    pub fn run(
         &self,
         system: &dyn StorageSystem,
         nodes: u32,
@@ -228,7 +213,7 @@ mod tests {
     fn accounting_adds_up() {
         let sys = toy();
         let job = JobScript::checkpoint_restart(50.0, 4, GIB, MIB);
-        let out = job.run(&sys, 2, 8);
+        let out = job.run(&sys, 2, 8, None);
         assert!((out.compute - 200.0).abs() < 1e-9);
         assert!((out.total - out.compute - out.io).abs() < 1e-9);
         assert!(out.io > 0.0);
@@ -244,8 +229,8 @@ mod tests {
         let slow = UniformSystem::new("slow", 1.0 * GIB);
         let fast = UniformSystem::new("fast", 100.0 * GIB);
         let job = JobScript::checkpoint_restart(10.0, 4, GIB, MIB);
-        let s = job.run(&slow, 4, 8).io_fraction();
-        let f = job.run(&fast, 4, 8).io_fraction();
+        let s = job.run(&slow, 4, 8, None).io_fraction();
+        let f = job.run(&fast, 4, 8, None).io_fraction();
         assert!(s > 5.0 * f, "slow {s} vs fast {f}");
     }
 

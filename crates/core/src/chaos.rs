@@ -130,23 +130,34 @@ impl Deserialize for FaultBudget {
         if v.as_map().is_none() {
             return Err(serde::Error::msg("expected a fault-budget object"));
         }
-        if let Some(f) = v.get_field("max_faults") {
-            budget.max_faults = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("kinds") {
-            budget.kinds = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("max_outage_seconds") {
-            budget.max_outage_seconds = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("min_degrade_factor") {
-            budget.min_degrade_factor = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("horizon_seconds") {
-            budget.horizon_seconds = Deserialize::from_value(f)?;
-        }
+        set_field(v, "max_faults", &mut budget.max_faults)?;
+        set_field(v, "kinds", &mut budget.kinds)?;
+        set_field(v, "max_outage_seconds", &mut budget.max_outage_seconds)?;
+        set_field(v, "min_degrade_factor", &mut budget.min_degrade_factor)?;
+        set_field(v, "horizon_seconds", &mut budget.horizon_seconds)?;
         Ok(budget)
     }
+}
+
+/// Overwrites `slot` with map `v`'s field `key` when it is present; a
+/// type error names the field, as a derived impl's does.
+fn set_field<T: Deserialize>(
+    v: &serde::Value,
+    key: &str,
+    slot: &mut T,
+) -> Result<(), serde::Error> {
+    if let Some(f) = v.get_field(key) {
+        *slot = serde::from_field(f, key)?;
+    }
+    Ok(())
+}
+
+/// Map `v`'s field `key`, which a campaign file must spell.
+fn required<T: Deserialize>(v: &serde::Value, key: &str) -> Result<T, serde::Error> {
+    let f = v
+        .get_field(key)
+        .ok_or_else(|| serde::Error::msg(format!("chaos campaign: missing field `{key}`")))?;
+    serde::from_field(f, key)
 }
 
 impl FaultBudget {
@@ -271,28 +282,12 @@ impl Deserialize for ChaosCampaign {
         if v.as_map().is_none() {
             return Err(serde::Error::msg("expected a chaos-campaign object"));
         }
-        let name = v
-            .get_field("name")
-            .ok_or_else(|| serde::Error::msg("chaos campaign: missing field `name`"))
-            .and_then(Deserialize::from_value)?;
-        let base = v
-            .get_field("base")
-            .ok_or_else(|| serde::Error::msg("chaos campaign: missing field `base`"))
-            .and_then(Deserialize::from_value)?;
-        let mut campaign = ChaosCampaign::new(String::new(), base);
-        campaign.name = name;
-        if let Some(f) = v.get_field("title") {
-            campaign.title = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("seed") {
-            campaign.seed = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("population") {
-            campaign.population = Deserialize::from_value(f)?;
-        }
-        if let Some(f) = v.get_field("budget") {
-            campaign.budget = Deserialize::from_value(f)?;
-        }
+        let name: String = required(v, "name")?;
+        let mut campaign = ChaosCampaign::new(name, required(v, "base")?);
+        set_field(v, "title", &mut campaign.title)?;
+        set_field(v, "seed", &mut campaign.seed)?;
+        set_field(v, "population", &mut campaign.population)?;
+        set_field(v, "budget", &mut campaign.budget)?;
         Ok(campaign)
     }
 }

@@ -165,6 +165,12 @@ impl IorConfig {
                 self.transfer_size, self.block_size
             ));
         }
+        if self.transfer_size > 0.0 && self.block_size % self.transfer_size != 0.0 {
+            return Err(format!(
+                "IOR requires blockSize to be a multiple of transferSize (got {} and {})",
+                self.block_size, self.transfer_size
+            ));
+        }
         self.phase().check()
     }
 }
@@ -219,6 +225,12 @@ mod tests {
         c.transfer_size = c.block_size * 2.0;
         let err = c.check().unwrap_err();
         assert!(err.contains("transferSize <= blockSize"), "{err}");
+        // IOR also refuses a block that is not a whole number of transfers.
+        c.transfer_size = 1e6;
+        let err = c.check().unwrap_err();
+        assert!(err.contains("multiple of transferSize"), "{err}");
+        c.transfer_size = MIB / 4.0;
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]

@@ -721,8 +721,9 @@ pub struct Scenario {
     /// Noise-seed override.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
-    /// Request telemetry: the traced executor records this point's
-    /// flows and resource timelines into the shared recorder.
+    /// Reserved: a point is traced by the run that executes it (`hcs run
+    /// --trace <path>`), not by a field, so [`Scenario::check`] rejects
+    /// `true`. Kept in the serialized form, which every result carries.
     #[serde(default)]
     pub trace: bool,
 }
@@ -839,11 +840,11 @@ impl Scenario {
     /// on the first problem: the run shape (at least one node and one
     /// process, at most `u32::MAX` ranks), the workload with every
     /// override folded in, the graph edits, the arrival spec, the fault
-    /// windows, and the capability-table row for any faults or
-    /// open-loop arrivals. `full_ppn` is the machine's full-node
-    /// process count. This is the one definition of a valid point:
-    /// `validate_deck` calls it before planning anything, and
-    /// `run_scenario` before running.
+    /// windows, the capability-table row for any faults or open-loop
+    /// arrivals, and the reserved `trace` field. `full_ppn` is the
+    /// machine's full-node process count. This is the one definition of
+    /// a valid point: `validate_deck` calls it before planning anything,
+    /// and `run_scenario` before running.
     pub fn check(&self, full_ppn: u32) -> Result<(), String> {
         let (nodes, ppn) = (self.run_nodes(), self.run_ppn(full_ppn));
         if nodes == 0 || ppn == 0 {
@@ -872,6 +873,11 @@ impl Scenario {
         }
         for spec in &self.faults {
             spec.check()?;
+        }
+        if self.trace {
+            return Err(
+                "\"trace\": true traces nothing; trace a run with `hcs run --trace <path>`".into(),
+            );
         }
         Ok(())
     }

@@ -8,8 +8,8 @@
 //! (busy fractions, time-weighted bottleneck attribution). Every
 //! layer's entry takes an optional recorder —
 //! [`crate::runner::run_phase_repeated`]'s trace,
-//! [`crate::JobScript::run_traced`], `run_ior_with`, `run_dlio_traced`,
-//! `run_deck` — all feeding one recorder, so an entire campaign lands
+//! [`crate::JobScript::run`], `run_ior_with`, `run_dlio`, `run_deck` —
+//! all feeding one recorder, so an entire campaign lands
 //! in a single trace with a consistent clock.
 //!
 //! ## Event model

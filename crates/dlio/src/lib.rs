@@ -29,6 +29,6 @@ pub mod result;
 pub mod workloads;
 
 pub use config::{DlioConfig, Scaling};
-pub use pipeline::{run_dlio, run_dlio_traced};
+pub use pipeline::run_dlio;
 pub use result::DlioResult;
 pub use workloads::{cosmoflow, resnet50};

@@ -30,28 +30,16 @@ use crate::result::DlioResult;
 
 /// Runs a DLIO workload on a storage system at the given node count.
 ///
+/// With a `recorder`, the pipeline's application events (sample reads,
+/// train steps, checkpoints) *and* the flow engine's
+/// resource-utilization timelines land in it on its global clock. The
+/// result is bit-identical with or without one.
+///
 /// # Panics
 /// Panics with [`DlioConfig::check`]'s diagnostic on an invalid
 /// configuration, on zero nodes, or if the pipeline deadlocks (which
 /// would indicate a simulator bug).
-pub fn run_dlio(system: &dyn StorageSystem, config: &DlioConfig, nodes: u32) -> DlioResult {
-    run_dlio_impl(system, config, nodes, None)
-}
-
-/// [`run_dlio`] with telemetry: the pipeline's application events
-/// (sample reads, train steps, checkpoints) *and* the flow engine's
-/// resource-utilization timelines land in `recorder` on its global
-/// clock. The result is bit-identical to [`run_dlio`]'s.
-pub fn run_dlio_traced(
-    system: &dyn StorageSystem,
-    config: &DlioConfig,
-    nodes: u32,
-    recorder: &mut Recorder,
-) -> DlioResult {
-    run_dlio_impl(system, config, nodes, Some(recorder))
-}
-
-fn run_dlio_impl(
+pub fn run_dlio(
     system: &dyn StorageSystem,
     config: &DlioConfig,
     nodes: u32,
@@ -175,7 +163,7 @@ mod tests {
     fn completes_all_samples_and_epochs() {
         let sys = GpfsConfig::on_lassen();
         let cfg = resnet50().smoke();
-        let r = run_dlio(&sys, &cfg, 2);
+        let r = run_dlio(&sys, &cfg, 2, None);
         assert_eq!(r.samples_processed, cfg.samples * 2);
         let reads = r.tracer.by_category(&EventCategory::Read).count() as u64;
         assert_eq!(reads, cfg.samples * 2);
@@ -187,7 +175,7 @@ mod tests {
     fn epochs_reread_dataset() {
         let sys = GpfsConfig::on_lassen();
         let cfg = cosmoflow().smoke(); // 2 epochs after smoke
-        let r = run_dlio(&sys, &cfg, 2);
+        let r = run_dlio(&sys, &cfg, 2, None);
         let reads = r.tracer.by_category(&EventCategory::Read).count() as u64;
         assert_eq!(reads, cfg.samples * cfg.epochs as u64);
     }
@@ -196,8 +184,8 @@ mod tests {
     fn deterministic() {
         let sys = vast_on_lassen();
         let cfg = resnet50().smoke();
-        let a = run_dlio(&sys, &cfg, 2);
-        let b = run_dlio(&sys, &cfg, 2);
+        let a = run_dlio(&sys, &cfg, 2, None);
+        let b = run_dlio(&sys, &cfg, 2, None);
         assert_eq!(a.duration, b.duration);
         assert_eq!(a.mean_per_node, b.mean_per_node);
     }
@@ -205,7 +193,7 @@ mod tests {
     #[test]
     fn decomposition_identity_holds() {
         let sys = vast_on_lassen();
-        let r = run_dlio(&sys, &resnet50().smoke(), 1);
+        let r = run_dlio(&sys, &resnet50().smoke(), 1, None);
         let d = &r.mean_per_node;
         assert!((d.overlapping_io + d.non_overlapping_io - d.io_total).abs() < 1e-9);
         assert!(d.io_total > 0.0);
@@ -216,7 +204,7 @@ mod tests {
     fn compute_dominates_resnet_runtime() {
         // §VI.A: ~97% of runtime is computation when storage keeps up.
         let sys = GpfsConfig::on_lassen();
-        let r = run_dlio(&sys, &resnet50(), 1);
+        let r = run_dlio(&sys, &resnet50(), 1, None);
         assert!(
             r.compute_fraction() > 0.9,
             "compute fraction = {}",
@@ -229,8 +217,8 @@ mod tests {
         // Fig 4a: VAST I/O time exceeds GPFS's, but most overlaps.
         let vast = vast_on_lassen();
         let gpfs = GpfsConfig::on_lassen();
-        let rv = run_dlio(&vast, &resnet50(), 4);
-        let rg = run_dlio(&gpfs, &resnet50(), 4);
+        let rv = run_dlio(&vast, &resnet50(), 4, None);
+        let rg = run_dlio(&gpfs, &resnet50(), 4, None);
         assert!(
             rv.io_total() > rg.io_total(),
             "{} vs {}",
@@ -251,8 +239,8 @@ mod tests {
         // throughput only slightly.
         let vast = vast_on_lassen();
         let gpfs = GpfsConfig::on_lassen();
-        let rv = run_dlio(&vast, &resnet50(), 4);
-        let rg = run_dlio(&gpfs, &resnet50(), 4);
+        let rv = run_dlio(&vast, &resnet50(), 4, None);
+        let rg = run_dlio(&gpfs, &resnet50(), 4, None);
         let app_ratio = rg.app_throughput / rv.app_throughput;
         let sys_ratio = rg.system_throughput / rv.system_throughput;
         assert!(app_ratio < 1.3, "app ratio = {app_ratio}");
@@ -265,8 +253,8 @@ mod tests {
         // for VAST; GPFS serves Cosmoflow better.
         let vast = vast_on_lassen();
         let gpfs = GpfsConfig::on_lassen();
-        let rv = run_dlio(&vast, &cosmoflow(), 4);
-        let rg = run_dlio(&gpfs, &cosmoflow(), 4);
+        let rv = run_dlio(&vast, &cosmoflow(), 4, None);
+        let rg = run_dlio(&gpfs, &cosmoflow(), 4, None);
         assert!(
             rv.non_overlapping_io() > 5.0 * rg.non_overlapping_io(),
             "VAST stalls: {} vs GPFS {}",
@@ -281,8 +269,8 @@ mod tests {
         let sys = GpfsConfig::on_lassen();
         let base = resnet50().smoke();
         let ckpt = base.clone().with_checkpointing(16, 500e6);
-        let plain = run_dlio(&sys, &base, 2);
-        let with = run_dlio(&sys, &ckpt, 2);
+        let plain = run_dlio(&sys, &base, 2, None);
+        let with = run_dlio(&sys, &ckpt, 2, None);
         // 64 samples / 16 = 4 checkpoints per node.
         let writes = with.tracer.by_category(&EventCategory::Write).count();
         assert_eq!(writes, 8);
@@ -298,7 +286,7 @@ mod tests {
         // 16 steps, and a checkpoint every 4 batches writes 4.
         let mut batched = base.with_checkpointing(4, 500e6);
         batched.batch_size = 4;
-        let r = run_dlio(&sys, &batched, 1);
+        let r = run_dlio(&sys, &batched, 1, None);
         assert_eq!(r.tracer.by_category(&EventCategory::Compute).count(), 16);
         assert_eq!(r.tracer.by_category(&EventCategory::Write).count(), 4);
     }
@@ -306,8 +294,18 @@ mod tests {
     #[test]
     fn checkpoint_cost_scales_with_bytes() {
         let sys = vast_on_lassen();
-        let small = run_dlio(&sys, &resnet50().smoke().with_checkpointing(32, 100e6), 1);
-        let large = run_dlio(&sys, &resnet50().smoke().with_checkpointing(32, 1000e6), 1);
+        let small = run_dlio(
+            &sys,
+            &resnet50().smoke().with_checkpointing(32, 100e6),
+            1,
+            None,
+        );
+        let large = run_dlio(
+            &sys,
+            &resnet50().smoke().with_checkpointing(32, 1000e6),
+            1,
+            None,
+        );
         assert!(
             large.checkpoint_io > 5.0 * small.checkpoint_io,
             "{} vs {}",
@@ -323,7 +321,7 @@ mod tests {
         cfg.samples = 13;
         cfg.batch_size = 4; // 3 full batches + 1 partial
         cfg.prefetch_depth = 8;
-        let r = run_dlio(&sys, &cfg, 2);
+        let r = run_dlio(&sys, &cfg, 2, None);
         assert_eq!(r.samples_processed, 26);
         let steps = r.tracer.by_category(&EventCategory::Compute).count();
         assert_eq!(steps, 8, "4 steps per node (3 full + 1 partial)");
@@ -335,7 +333,7 @@ mod tests {
         let mut cfg = resnet50().smoke();
         cfg.samples = 32;
         cfg.batch_size = 8;
-        let r = run_dlio(&sys, &cfg, 1);
+        let r = run_dlio(&sys, &cfg, 1, None);
         let steps = r.tracer.by_category(&EventCategory::Compute).count();
         assert_eq!(steps, 4);
     }
@@ -345,7 +343,7 @@ mod tests {
         let sys = GpfsConfig::on_lassen();
         let mut cfg = resnet50();
         cfg.samples = 1;
-        let r = run_dlio(&sys, &cfg, 1);
+        let r = run_dlio(&sys, &cfg, 1, None);
         assert_eq!(r.samples_processed, 1);
         assert!(r.duration > 0.0);
     }
@@ -356,7 +354,7 @@ mod tests {
         let mut cfg = cosmoflow().smoke();
         cfg.samples = 3;
         cfg.epochs = 1;
-        let r = run_dlio(&sys, &cfg, 8); // 5 nodes idle
+        let r = run_dlio(&sys, &cfg, 8, None); // 5 nodes idle
         assert_eq!(r.samples_processed, 3);
     }
 }

@@ -14,14 +14,15 @@
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-use hcs_core::runner::OpenLoopOutcome;
+use hcs_core::metrics::ResilienceMetrics;
+use hcs_core::runner::{FaultPhaseError, OpenLoopOutcome};
 use hcs_core::{
     Deck, DeckMetricsSummary, FaultSpec, IoOp, OpLatency, PointMetrics, Reconfigured, Recorder,
     Scenario, StageKind, StorageSystem, Workload,
 };
 use hcs_dftrace::Tracer;
-use hcs_dlio::{run_dlio, run_dlio_traced, DlioResult};
-use hcs_ior::{run_ior, run_ior_with, IorReport, IorRun};
+use hcs_dlio::{run_dlio, DlioResult};
+use hcs_ior::{run_ior_with, IorReport, IorRun};
 use hcs_mdtest::{run_mdtest, MdtestReport};
 use hcs_replay::{replay, ReplayResult};
 
@@ -226,25 +227,59 @@ fn load_replay_trace(config: &hcs_core::scenario::ReplayConfig) -> Result<Tracer
     hcs_replay::load_trace(path)
 }
 
-/// Runs one already-resolved workload on a system. The low-level
-/// executor shared by scenario points and by ablations that mutate
-/// backend fields directly (which a registry name cannot express).
+/// One run of a workload: its outcome, plus the resilience (faulted
+/// closed loop) and open-loop extras only IOR measures.
+type Dispatched = (
+    WorkloadOutcome,
+    Option<ResilienceMetrics>,
+    Option<OpenLoopOutcome>,
+);
+
+/// The one match from a resolved workload to its engine. `run` carries
+/// the point's arrival, faults, recorder and provenance flag: IOR takes
+/// all four, DLIO and job scripts the recorder, and MDTest and replay
+/// none (their capability-table row has no tracing, and
+/// [`Scenario::check`] rejects faults and arrivals a family lacks).
+fn dispatch(
+    system: &dyn StorageSystem,
+    workload: &Workload,
+    nodes: u32,
+    ppn: u32,
+    run: IorRun<'_>,
+) -> Result<Dispatched, FaultPhaseError> {
+    let outcome = match workload {
+        Workload::Ior(c) => {
+            let out = run_ior_with(system, c, run)?;
+            return Ok((
+                WorkloadOutcome::Ior(out.report),
+                out.resilience,
+                out.open_loop,
+            ));
+        }
+        Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio(system, c, nodes, run.recorder)),
+        Workload::Mdtest(c) => WorkloadOutcome::Mdtest(run_mdtest(system, c)),
+        Workload::Job(j) => WorkloadOutcome::Job(j.run(system, nodes, ppn, run.recorder)),
+        Workload::Replay(c) => {
+            let trace = load_replay_trace(c).unwrap_or_else(|e| panic!("{e}"));
+            WorkloadOutcome::Replay(replay(&trace, system, c))
+        }
+    };
+    Ok((outcome, None, None))
+}
+
+/// Runs one already-resolved workload on a system, closed loop and
+/// fault-free, through the dispatcher every scenario point takes: for
+/// ablations that mutate backend fields directly (which a registry
+/// name cannot express).
 pub fn run_workload_on(
     system: &dyn StorageSystem,
     workload: &Workload,
     nodes: u32,
     ppn: u32,
 ) -> WorkloadOutcome {
-    match workload {
-        Workload::Ior(c) => WorkloadOutcome::Ior(run_ior(system, c)),
-        Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio(system, c, nodes)),
-        Workload::Mdtest(c) => WorkloadOutcome::Mdtest(run_mdtest(system, c)),
-        Workload::Job(j) => WorkloadOutcome::Job(j.run(system, nodes, ppn)),
-        Workload::Replay(c) => {
-            let trace = load_replay_trace(c).unwrap_or_else(|e| panic!("{e}"));
-            WorkloadOutcome::Replay(replay(&trace, system, c))
-        }
-    }
+    dispatch(system, workload, nodes, ppn, IorRun::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
 /// [`run_workload_on`] with telemetry. A family whose capability-table
@@ -257,24 +292,13 @@ pub fn run_workload_on_traced(
     ppn: u32,
     recorder: &mut Recorder,
 ) -> WorkloadOutcome {
-    if !workload.capabilities().tracing {
-        return run_workload_on(system, workload, nodes, ppn);
-    }
-    match workload {
-        Workload::Ior(c) => {
-            let run = IorRun {
-                recorder: Some(recorder),
-                ..IorRun::default()
-            };
-            let out = run_ior_with(system, c, run).unwrap_or_else(|e| panic!("{e}"));
-            WorkloadOutcome::Ior(out.report)
-        }
-        Workload::Dlio(c) => WorkloadOutcome::Dlio(run_dlio_traced(system, c, nodes, recorder)),
-        Workload::Job(j) => WorkloadOutcome::Job(j.run_traced(system, nodes, ppn, recorder)),
-        Workload::Mdtest(_) | Workload::Replay(_) => {
-            unreachable!("the capability table marks {} untraced", workload.kind())
-        }
-    }
+    let run = IorRun {
+        recorder: Some(recorder),
+        ..IorRun::default()
+    };
+    dispatch(system, workload, nodes, ppn, run)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
 /// Distills an open-loop run into the point's latency row: one
@@ -458,30 +482,14 @@ pub fn run_scenario(
     let nodes = scenario.run_nodes();
     let ppn = scenario.run_ppn(full_ppn);
     let mut rec = (recorder.is_some() || meter != Meter::Off).then(Recorder::new);
-    let (outcome, resilience, open) = match &workload {
-        Workload::Ior(config) => {
-            let run = IorRun {
-                arrival: scenario.arrival,
-                faults: &scenario.faults,
-                recorder: rec.as_mut(),
-                provenance: meter == Meter::Provenance,
-            };
-            let out = run_ior_with(&*system, config, run)
-                .unwrap_or_else(|e| panic!("scenario '{}': {e}", scenario.name));
-            (
-                WorkloadOutcome::Ior(out.report),
-                out.resilience,
-                out.open_loop,
-            )
-        }
-        other => {
-            let outcome = match rec.as_mut() {
-                Some(rec) => run_workload_on_traced(&*system, other, nodes, ppn, rec),
-                None => run_workload_on(&*system, other, nodes, ppn),
-            };
-            (outcome, None, None)
-        }
+    let run = IorRun {
+        arrival: scenario.arrival,
+        faults: &scenario.faults,
+        recorder: rec.as_mut(),
+        provenance: meter == Meter::Provenance,
     };
+    let (outcome, resilience, open) = dispatch(&*system, &workload, nodes, ppn, run)
+        .unwrap_or_else(|e| panic!("scenario '{}': {e}", scenario.name));
     let metrics = (meter != Meter::Off).then(|| {
         let rec = rec.as_ref().expect("a metered point runs traced");
         let mut metrics = collect_point_metrics(&workload, &outcome, rec, nodes, ppn);
@@ -582,6 +590,7 @@ mod tests {
     use hcs_core::scenario::{GraphEdit, IorConfig, MdtestConfig, WorkloadClass};
     use hcs_core::Arrival;
     use hcs_core::StageKind;
+    use hcs_ior::run_ior;
 
     fn plain(deck: &Deck) -> DeckResult {
         run_deck(deck, None, Meter::Off)
@@ -957,6 +966,67 @@ mod tests {
         family.base.faults = vec![gateway_outage(1.0, 2.0)];
         let err = validate_deck(&family).unwrap_err();
         assert!(err.contains("IOR family only"), "{err}");
+    }
+
+    #[test]
+    fn every_family_runs_the_same_through_every_entry() {
+        // A captured DLIO trace for the replay point to re-drive.
+        let dlio = Scenario::new("vast-lassen", Workload::Dlio(hcs_dlio::resnet50().smoke()));
+        let mut capture = Recorder::new();
+        run_scenario(&dlio, Some(&mut capture), Meter::Off);
+        let trace =
+            std::env::temp_dir().join(format!("hcs-deck-family-{}.json", std::process::id()));
+        std::fs::write(&trace, capture.to_chrome_json()).unwrap();
+        let replay = hcs_core::scenario::ReplayConfig {
+            trace: Some(trace.display().to_string()),
+            ..Default::default()
+        };
+        let job = hcs_core::JobScript::checkpoint_restart(5.0, 2, 64e6, 1e6);
+        let points = [
+            smoke_scenario("gpfs"),
+            dlio,
+            Scenario::new("gpfs", Workload::Mdtest(MdtestConfig::new(1, 4))),
+            Scenario::new("nvme", Workload::Job(job)).with_nodes(2),
+            Scenario::new("gpfs", Workload::Replay(replay)),
+        ];
+        let bits = |o: &WorkloadOutcome| serde_json::to_string(o).unwrap();
+        for (s, kind) in points
+            .iter()
+            .zip(["ior", "dlio", "mdtest", "job", "replay"])
+        {
+            let (system, full_ppn) = build_system(s);
+            let workload = s.resolved_workload(full_ppn);
+            let (nodes, ppn) = (s.run_nodes(), s.run_ppn(full_ppn));
+            let plain = run_workload_on(&*system, &workload, nodes, ppn);
+            assert_eq!(plain.kind(), kind);
+            let mut rec = Recorder::new();
+            let traced = run_workload_on_traced(&*system, &workload, nodes, ppn, &mut rec);
+            assert_eq!(
+                !rec.tracer().is_empty(),
+                workload.capabilities().tracing,
+                "{kind}"
+            );
+            for other in [
+                traced,
+                point(s).outcome,
+                run_scenario(s, None, Meter::Metrics).outcome,
+            ] {
+                assert_eq!(bits(&other), bits(&plain), "{kind}");
+            }
+        }
+        std::fs::remove_file(&trace).ok();
+    }
+
+    #[test]
+    fn every_builtin_deck_validates_at_every_scale() {
+        // The IOR block-multiple rule included: no shipped deck breaks it.
+        use hcs_core::scenario::Scale;
+        for scale in [Scale::Paper, Scale::Smoke, Scale::Datacenter] {
+            for deck in crate::figures::all_decks(scale) {
+                let verdict = validate_deck(&deck);
+                assert_eq!(verdict, Ok(()), "{} at {} scale", deck.name, scale.label());
+            }
+        }
     }
 
     #[test]

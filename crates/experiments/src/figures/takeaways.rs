@@ -74,7 +74,7 @@ pub fn measure(scale: Scale) -> TakeawayReport {
     if let Some(s) = scale.dlio_samples() {
         resnet.samples = resnet.samples.min(s);
     }
-    let frac = run_dlio(&gpfs, &resnet, 1).compute_fraction();
+    let frac = run_dlio(&gpfs, &resnet, 1, None).compute_fraction();
 
     TakeawayReport {
         tcp_per_node_write,

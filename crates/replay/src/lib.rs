@@ -206,7 +206,7 @@ mod tests {
 
     fn source_trace() -> (hcs_dlio::DlioResult, hcs_vast::VastConfig) {
         let vast = vast_on_lassen();
-        let r = run_dlio(&vast, &resnet50().smoke(), 2);
+        let r = run_dlio(&vast, &resnet50().smoke(), 2, None);
         (r, vast)
     }
 
@@ -281,7 +281,7 @@ mod tests {
         let targets: [&dyn StorageSystem; 2] = [&vast, &gpfs];
         let mut got = Vec::new();
         for cfg in [resnet50().smoke(), hcs_dlio::cosmoflow().smoke()] {
-            let source = run_dlio(&vast, &cfg, 2);
+            let source = run_dlio(&vast, &cfg, 2, None);
             for sys in targets {
                 let r = replay(&source.tracer, sys, &ReplayConfig::default());
                 let m = &r.mean;

@@ -50,7 +50,7 @@ fn main() {
         "system", "ckpt s/node", "app samples/s"
     );
     for sys in &systems {
-        let r = run_dlio(*sys, &cfg, 4);
+        let r = run_dlio(*sys, &cfg, 4, None);
         println!(
             "{:<56} {:>12.2} {:>14.1}",
             sys.description(),

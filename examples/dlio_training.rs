@@ -59,8 +59,8 @@ fn main() {
 
     let vast = vast_on_lassen();
     let gpfs = GpfsConfig::on_lassen();
-    let rv = run_dlio(&vast, &cfg, nodes);
-    let rg = run_dlio(&gpfs, &cfg, nodes);
+    let rv = run_dlio(&vast, &cfg, nodes, None);
+    let rg = run_dlio(&gpfs, &cfg, nodes, None);
     report(&rv);
     println!();
     report(&rg);

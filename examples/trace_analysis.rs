@@ -19,7 +19,7 @@ fn main() {
     // Simulate ResNet-50 on the TCP-mounted VAST, two nodes.
     let vast = vast_on_lassen();
     let cfg = resnet50();
-    let result = run_dlio(&vast, &cfg, 2);
+    let result = run_dlio(&vast, &cfg, 2, None);
 
     // Export the trace the way DFTracer would.
     let json = chrome::to_json(&result.tracer);

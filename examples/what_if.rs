@@ -20,7 +20,7 @@ fn main() {
     // 1. Capture: run ResNet-50 on the TCP-mounted VAST, 4 nodes, and
     //    keep the DFTracer-style trace.
     let source_sys = vast_on_lassen();
-    let captured = run_dlio(&source_sys, &resnet50(), 4);
+    let captured = run_dlio(&source_sys, &resnet50(), 4, None);
     println!(
         "captured: {} on {} — {} events, io {:.2}s/node (stall {:.3}s)\n",
         captured.workload,

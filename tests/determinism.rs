@@ -40,11 +40,11 @@ fn dlio_runs_are_bit_identical() {
     let vast = vast_on_lassen();
     let gpfs = GpfsConfig::on_lassen();
     for cfg in [resnet50().smoke(), cosmoflow().smoke()] {
-        let a = run_dlio(&vast, &cfg, 2);
-        let b = run_dlio(&vast, &cfg, 2);
+        let a = run_dlio(&vast, &cfg, 2, None);
+        let b = run_dlio(&vast, &cfg, 2, None);
         assert_eq!(a.tracer.events(), b.tracer.events(), "{} on VAST", cfg.name);
-        let c = run_dlio(&gpfs, &cfg, 2);
-        let d = run_dlio(&gpfs, &cfg, 2);
+        let c = run_dlio(&gpfs, &cfg, 2, None);
+        let d = run_dlio(&gpfs, &cfg, 2, None);
         assert_eq!(c.duration, d.duration, "{} on GPFS", cfg.name);
     }
 }

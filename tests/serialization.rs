@@ -63,7 +63,7 @@ fn results_round_trip() {
     let rep = run_ior(&sys, &IorConfig::smoke(WorkloadClass::Scientific, 2, 4));
     assert_eq!(round_trip(&rep), rep);
 
-    let dlio = run_dlio(&GpfsConfig::on_lassen(), &resnet50().smoke(), 1);
+    let dlio = run_dlio(&GpfsConfig::on_lassen(), &resnet50().smoke(), 1, None);
     assert_eq!(round_trip(&dlio), dlio);
 }
 
@@ -212,7 +212,7 @@ fn direct_and_tree_serialization_agree_on_metered_results() {
 
 #[test]
 fn chrome_trace_round_trips_through_disk_format() {
-    let result = run_dlio(&vast_on_lassen(), &resnet50().smoke(), 1);
+    let result = run_dlio(&vast_on_lassen(), &resnet50().smoke(), 1, None);
     let json = hcs_dftrace::chrome::to_json(&result.tracer);
     let back = hcs_dftrace::chrome::from_json(&json).expect("parse");
     assert_eq!(back.len(), result.tracer.len());

@@ -18,7 +18,7 @@
 use hcs_core::runner::{run_phase, run_phase_traced};
 use hcs_core::telemetry::Recorder;
 use hcs_core::{JobScript, PhaseOutcome, PhaseSpec, StorageSystem};
-use hcs_dlio::{resnet50, run_dlio, run_dlio_traced};
+use hcs_dlio::{resnet50, run_dlio};
 use hcs_gpfs::GpfsConfig;
 use hcs_ior::{run_ior, run_ior_with, IorConfig, IorReport, IorRun, WorkloadClass};
 use hcs_lustre::LustreConfig;
@@ -163,9 +163,9 @@ fn ior_reports_are_unperturbed() {
 fn campaigns_are_unperturbed() {
     let job = JobScript::checkpoint_restart(25.0, 3, 64.0 * MIB, MIB);
     for (name, sys) in backends() {
-        let plain = job.run(sys.as_ref(), 2, 8);
+        let plain = job.run(sys.as_ref(), 2, 8, None);
         let mut rec = Recorder::new();
-        let traced = job.run_traced(sys.as_ref(), 2, 8, &mut rec);
+        let traced = job.run(sys.as_ref(), 2, 8, Some(&mut rec));
         assert_eq!(
             plain.total.to_bits(),
             traced.total.to_bits(),
@@ -190,9 +190,9 @@ fn campaigns_are_unperturbed() {
 fn dlio_pipeline_is_unperturbed() {
     let sys = GpfsConfig::on_lassen();
     let cfg = resnet50().smoke().with_checkpointing(16, 100e6);
-    let plain = run_dlio(&sys, &cfg, 2);
+    let plain = run_dlio(&sys, &cfg, 2, None);
     let mut rec = Recorder::new();
-    let traced = run_dlio_traced(&sys, &cfg, 2, &mut rec);
+    let traced = run_dlio(&sys, &cfg, 2, Some(&mut rec));
     assert_eq!(
         plain.duration.to_bits(),
         traced.duration.to_bits(),
@@ -228,7 +228,7 @@ fn recorder_reuse_across_runs_is_still_unperturbed() {
     let plain = run_phase(&sys, 2, 4, &phase);
     let mut rec = Recorder::new();
     let job = JobScript::checkpoint_restart(10.0, 2, 32.0 * MIB, MIB);
-    job.run_traced(&sys, 2, 4, &mut rec);
+    job.run(&sys, 2, 4, Some(&mut rec));
     let clock_before = rec.clock();
     let traced = run_phase_traced(&sys, 2, 4, &phase, &mut rec);
     assert_bit_exact(&plain, &traced, "after-campaign run");
